@@ -63,11 +63,10 @@ DistExdResult exd_transform_distributed(const dist::Cluster& cluster,
         static_cast<std::uint64_t>(m) * static_cast<std::uint64_t>(l) +
         static_cast<std::uint64_t>(m) * static_cast<std::uint64_t>(local_n));
 
-    // Steps 2-3: code the local block column by column.
-    sparsecoding::OmpConfig omp;
-    omp.tolerance = config.tolerance;
-    omp.max_atoms = config.max_atoms;
-    const sparsecoding::BatchOmp coder(dict, omp);
+    // Steps 2-3: code the local block. Ranks pin OpenMP to one thread
+    // (dist/cluster.cpp), so encode_many runs serially here.
+    const sparsecoding::BatchOmp coder(dict,
+                                       {config.tolerance, config.max_atoms});
     // Gram precompute: M·L² mult-add pairs, once per rank.
     comm.cost().add_flops(2 * static_cast<std::uint64_t>(m) *
                           static_cast<std::uint64_t>(l) *
@@ -81,14 +80,15 @@ DistExdResult exd_transform_distributed(const dist::Cluster& cluster,
       const util::TraceScope encode_trace(
           util::TraceRecorder::global(), "dist_exd.encode", "columns",
           static_cast<std::uint64_t>(local_n));
-      for (Index j = b; j < e; ++j) {
-        const auto code = coder.encode(a.col(j));
+      std::vector<std::span<const la::Real>> block;
+      for (Index j = b; j < e; ++j) block.push_back(a.col(j));
+      for (const auto& code : coder.encode_many(block).take_codes()) {
         counts.push_back(code.nnz());
         for (const auto& [atom, coeff] : code.entries) {
           rows.push_back(atom);
           values.push_back(coeff);
         }
-        comm.cost().add_flops(coder.encode_flops(code.nnz()));
+        comm.cost().add_flops(code.flops);
       }
     }
 

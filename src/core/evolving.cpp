@@ -1,6 +1,7 @@
 #include "core/evolving.hpp"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "core/gram_extend.hpp"
@@ -29,20 +30,16 @@ EvolveReport evolve(ExdResult& exd, const Matrix& a_new, const ExdConfig& config
   report.new_columns = a_new.cols();
   if (a_new.cols() == 0) return report;
 
-  sparsecoding::OmpConfig omp;
-  omp.tolerance = config.tolerance;
-  omp.max_atoms = config.max_atoms;
+  const sparsecoding::OmpConfig omp{config.tolerance, config.max_atoms};
 
   // Pass 1: code the new columns against the current dictionary and find
   // the ones whose residual misses the ε criterion.
   const sparsecoding::BatchOmp coder(exd.dictionary, omp);
   const Index n_new = a_new.cols();
-  std::vector<sparsecoding::SparseCode> codes(static_cast<std::size_t>(n_new));
-#pragma omp parallel for schedule(dynamic, 16) default(none) \
-    shared(a_new, codes, coder, n_new) if (n_new > 1)
-  for (Index j = 0; j < n_new; ++j) {
-    codes[static_cast<std::size_t>(j)] = coder.encode(a_new.col(j));
-  }
+  std::vector<std::span<const Real>> columns;
+  for (Index j = 0; j < n_new; ++j) columns.push_back(a_new.col(j));
+  std::vector<sparsecoding::SparseCode> codes =
+      coder.encode_many(columns).take_codes();
 
   std::vector<Index> failed;
   for (Index j = 0; j < n_new; ++j) {
@@ -78,18 +75,13 @@ EvolveReport evolve(ExdResult& exd, const Matrix& a_new, const ExdConfig& config
     // pass-1 codes were below tolerance).
     const sparsecoding::BatchOmp recoder(exd.dictionary,
                                          std::move(extended_gram), omp);
-    const Index n_failed = report.failed_columns;
-#pragma omp parallel for schedule(dynamic, 16) default(none) \
-    shared(a_new, codes, failed, recoder, n_failed) if (n_failed > 1)
-    for (Index k = 0; k < n_failed; ++k) {
-      const Index j = failed[static_cast<std::size_t>(k)];
-      // codes[j] is iteration-unique because `failed` holds distinct column
-      // indices (built by a strictly increasing scan of [0, n_new)), but the
-      // analyzer cannot prove uniqueness through the indirection.
-      // extdict-lint: allow(omp-sharing) failed[] holds distinct indices, so codes[j] is iteration-unique
-      codes[static_cast<std::size_t>(j)] = recoder.encode(a_new.col(j));
+    std::vector<std::span<const Real>> hard_columns;
+    for (const Index j : failed) hard_columns.push_back(a_new.col(j));
+    auto recoded = recoder.encode_many(hard_columns).take_codes();
+    for (std::size_t k = 0; k < failed.size(); ++k) {
+      codes[static_cast<std::size_t>(failed[k])] = std::move(recoded[k]);
     }
-    report.reencoded_columns = n_failed;
+    report.reencoded_columns = report.failed_columns;
   }
 
   // The pass-2 recodes were never checked against ε before: record the
@@ -107,12 +99,8 @@ EvolveReport evolve(ExdResult& exd, const Matrix& a_new, const ExdConfig& config
   }
 
   // Splice the new columns into C.
-  std::vector<std::vector<std::pair<Index, Real>>> new_cols(
-      static_cast<std::size_t>(n_new));
-  for (Index j = 0; j < n_new; ++j) {
-    new_cols[static_cast<std::size_t>(j)] =
-        std::move(codes[static_cast<std::size_t>(j)].entries);
-  }
+  std::vector<std::vector<std::pair<Index, Real>>> new_cols;
+  for (auto& code : codes) new_cols.push_back(std::move(code.entries));
   exd.coefficients.append_columns(
       la::CscMatrix::from_columns(exd.dictionary.cols(), new_cols));
   return report;

@@ -261,7 +261,6 @@ void Daemon::writer_loop() {
       const double wire_seconds =
           std::chrono::duration<double>(Clock::now() - item->received_at)
               .count();
-      metrics.observe("net.latency.wire_seconds", wire_seconds);
       metrics.observe_windowed("net.latency.wire_seconds", wire_seconds);
     } else {
       reply_write_failures_.fetch_add(1, std::memory_order_relaxed);

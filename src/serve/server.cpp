@@ -211,11 +211,16 @@ void ExtDictServer::encode_batch(std::vector<Request>& batch) {
   const auto flush_at = Clock::now();
 
   // Queue wait ends at batch flush, shared by every column of the batch.
+  // The same pass collects each request's signal and effective stopping rule.
   std::vector<double> queue_seconds(batch.size());
+  std::vector<std::span<const Real>> signals(batch.size());
+  std::vector<sparsecoding::OmpConfig> configs(batch.size());
   std::uint64_t queue_us_total = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     queue_seconds[i] = seconds_between(batch[i].submitted_at, flush_at);
     queue_us_total += static_cast<std::uint64_t>(queue_seconds[i] * 1e6);
+    signals[i] = batch[i].signal;
+    configs[i] = effective_config(batch[i].options);
   }
 
   util::TraceScope trace("serve.batch.encode", "columns",
@@ -227,21 +232,9 @@ void ExtDictServer::encode_batch(std::vector<Request>& batch) {
   // epoch's dictionary/Gram alive until the batch drains.
   const std::shared_ptr<const DictEpoch> epoch = registry_->current();
 
-  std::vector<sparsecoding::SparseCode> codes(batch.size());
-  std::vector<std::exception_ptr> errors(batch.size());
-#pragma omp parallel for schedule(dynamic, 1) default(none) \
-    shared(batch, codes, errors, columns, epoch) if (columns > 1)
-  for (Index j = 0; j < columns; ++j) {
-    const auto i = static_cast<std::size_t>(j);
-    try {
-      codes[i] = epoch->coder.encode(batch[i].signal,
-                                     effective_config(batch[i].options));
-    } catch (...) {
-      // E.g. a non-finite signal tripping EXTDICT_CHECK_FINITE in a checked
-      // build: the error belongs to this request's future, not the worker.
-      errors[i] = std::current_exception();
-    }
-  }
+  // A throwing column (e.g. a non-finite signal tripping
+  // EXTDICT_CHECK_FINITE in a checked build) fails only its own future.
+  auto [codes, errors] = epoch->coder.encode_many(signals, configs);
   const double encode_s = seconds_between(flush_at, Clock::now());
 
   batches_.fetch_add(1, std::memory_order_relaxed);
@@ -258,11 +251,6 @@ void ExtDictServer::encode_batch(std::vector<Request>& batch) {
 
   std::uint64_t served_in_batch = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    metrics.observe("serve.latency.queue_seconds", queue_seconds[i]);
-    metrics.observe("serve.latency.encode_seconds", encode_s);
-    metrics.observe("serve.latency.total_seconds", queue_seconds[i] + encode_s);
-    // Windowed twins of the latency histograms: same observations, but
-    // `window_quantile` answers over the last few seconds only.
     metrics.observe_windowed("serve.latency.queue_seconds", queue_seconds[i]);
     metrics.observe_windowed("serve.latency.encode_seconds", encode_s);
     metrics.observe_windowed("serve.latency.total_seconds",
@@ -283,10 +271,8 @@ void ExtDictServer::encode_batch(std::vector<Request>& batch) {
       EncodeCacheKey key;
       key.signal = std::move(batch[i].signal);  // request is done with it
       key.dict_epoch = epoch->id;
-      const sparsecoding::OmpConfig effective =
-          effective_config(batch[i].options);
-      key.tolerance = effective.tolerance;
-      key.max_atoms = effective.max_atoms;
+      key.tolerance = configs[i].tolerance;
+      key.max_atoms = configs[i].max_atoms;
       cache_->insert(key, codes[i]);
     }
     EncodeResult result;

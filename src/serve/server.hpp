@@ -129,9 +129,9 @@ struct ServerStats {
 /// from any number of client threads, and drives them through a
 /// micro-batching scheduler — a worker flushes a batch at `max_batch`
 /// columns or `max_delay_us` after the batch's first arrival, whichever
-/// comes first — so concurrent requests share one Batch-OMP window (one
-/// scheduler wakeup, one OpenMP parallel region) instead of paying the
-/// per-invocation setup each.
+/// comes first — so concurrent requests share one `BatchOmp::encode_many`
+/// call (one scheduler wakeup, one OpenMP parallel region) instead of
+/// paying the per-invocation setup each.
 ///
 /// Caching: with `cache_capacity > 0`, `submit` consults a content-addressed
 /// `EncodeCache` (key = signal bits · dict epoch · effective ε/max_atoms)

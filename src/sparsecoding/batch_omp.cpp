@@ -12,13 +12,9 @@
 
 namespace extdict::sparsecoding {
 
-// extdict-lint: allow(missing-shape-contract) any dictionary shape is valid; gram() validates
+// extdict-lint: allow(missing-shape-contract) delegates to the checked constructor
 BatchOmp::BatchOmp(const Matrix& dict, OmpConfig config)
-    : dict_(&dict), gram_(la::gram(dict)), config_(config) {
-  max_atoms_ = config_.max_atoms > 0
-                   ? std::min(config_.max_atoms, std::min(dict.rows(), dict.cols()))
-                   : std::min(dict.rows(), dict.cols());
-}
+    : BatchOmp(dict, la::gram(dict), config) {}
 
 BatchOmp::BatchOmp(const Matrix& dict, Matrix gram, OmpConfig config)
     : dict_(&dict), gram_(std::move(gram)), config_(config) {
@@ -27,9 +23,6 @@ BatchOmp::BatchOmp(const Matrix& dict, Matrix gram, OmpConfig config)
       "BatchOmp: supplied Gram is " + std::to_string(gram_.rows()) + "x" +
           std::to_string(gram_.cols()) + " but the dictionary has " +
           std::to_string(dict.cols()) + " columns");
-  max_atoms_ = config_.max_atoms > 0
-                   ? std::min(config_.max_atoms, std::min(dict.rows(), dict.cols()))
-                   : std::min(dict.rows(), dict.cols());
 }
 
 // extdict-lint: allow(missing-shape-contract) delegates to the checked overload
@@ -168,6 +161,39 @@ SparseCode BatchOmp::encode(std::span<const Real> signal,
   return code;
 }
 
+std::vector<SparseCode> BatchOmp::Batch::take_codes() && {
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+  return std::move(codes);
+}
+
+BatchOmp::Batch BatchOmp::encode_many(
+    std::span<const std::span<const Real>> signals,
+    std::span<const OmpConfig> configs) const {
+  EXTDICT_REQUIRE_SHAPE(configs.empty() || configs.size() == signals.size(),
+                        "BatchOmp::encode_many: " +
+                            std::to_string(configs.size()) + " configs for " +
+                            std::to_string(signals.size()) + " signals");
+  const Index n = static_cast<Index>(signals.size());
+  std::vector<SparseCode> codes(signals.size());
+  std::vector<std::exception_ptr> errors(signals.size());
+  const OmpConfig& fallback = config_;  // named, so default(none) can list it
+#pragma omp parallel for schedule(guided) default(none) \
+    shared(signals, configs, fallback, codes, errors, n) if (n > 1)
+  for (Index j = 0; j < n; ++j) {
+    const auto i = static_cast<std::size_t>(j);
+    try {
+      codes[i] = encode(signals[i], configs.empty() ? fallback : configs[i]);
+    } catch (...) {
+      // E.g. a non-finite signal tripping EXTDICT_CHECK_FINITE in a checked
+      // build: an exception escaping the region would std::terminate.
+      errors[i] = std::current_exception();
+    }
+  }
+  return {std::move(codes), std::move(errors)};
+}
+
 la::CscMatrix BatchOmp::encode_all(const Matrix& signals) const {
   EXTDICT_REQUIRE_SHAPE(signals.rows() == dict_->rows(),
                         "BatchOmp::encode_all: signals have " +
@@ -176,12 +202,11 @@ la::CscMatrix BatchOmp::encode_all(const Matrix& signals) const {
                             std::to_string(dict_->rows()));
   const Index n = signals.cols();
   const util::SpanTimer span("batch_omp.encode_all");
-  std::vector<std::vector<std::pair<Index, Real>>> columns(
-      static_cast<std::size_t>(n));
-#pragma omp parallel for schedule(dynamic, 16) default(none) \
-    shared(signals, columns, n) if (n > 1)
-  for (Index j = 0; j < n; ++j) {
-    columns[static_cast<std::size_t>(j)] = encode(signals.col(j)).entries;
+  std::vector<std::span<const Real>> inputs;
+  for (Index j = 0; j < n; ++j) inputs.push_back(signals.col(j));
+  std::vector<std::vector<std::pair<Index, Real>>> columns;
+  for (SparseCode& code : encode_many(inputs).take_codes()) {
+    columns.push_back(std::move(code.entries));
   }
   util::MetricsRegistry::global().add("batch_omp.signals_encoded",
                                       static_cast<std::uint64_t>(n));

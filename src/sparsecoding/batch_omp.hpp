@@ -1,7 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <span>
+#include <vector>
 
 #include "la/csc_matrix.hpp"
 #include "la/matrix.hpp"
@@ -15,9 +17,10 @@ namespace extdict::sparsecoding {
 /// This is the coder ExD uses in production (§V-D): the Gram matrix
 /// G = DᵀD is computed once per dictionary; encoding a signal then costs
 /// O(M·L) for the initial correlations plus O(L·k + k²) per greedy
-/// iteration, never touching the residual explicitly. `encode_all`
-/// parallelises over signals with OpenMP — each column of C is independent
-/// (Alg. 1 step 3 runs per processor in the paper).
+/// iteration, never touching the residual explicitly. `encode_many` is the
+/// one OpenMP loop over signals — each column of C is independent (Alg. 1
+/// step 3 runs per processor in the paper) — and every batch caller goes
+/// through it.
 class BatchOmp {
  public:
   BatchOmp(const Matrix& dict, OmpConfig config);
@@ -40,8 +43,25 @@ class BatchOmp {
   [[nodiscard]] SparseCode encode(std::span<const Real> signal,
                                   const OmpConfig& config) const;
 
+  /// `encode_many`'s result: `errors[i]` is what coding signal i threw
+  /// (null on success, else `codes[i]` is empty).
+  struct Batch {
+    std::vector<SparseCode> codes;
+    std::vector<std::exception_ptr> errors;
+
+    /// Rethrows the lowest-index captured error, else hands over the codes.
+    [[nodiscard]] std::vector<SparseCode> take_codes() &&;
+  };
+
+  /// Sparse-codes every signal, in parallel over signals: codes[i] equals
+  /// `encode(signals[i], configs[i])` bit for bit, or the construction
+  /// config's code when `configs` is empty (else one config per signal).
+  [[nodiscard]] Batch encode_many(
+      std::span<const std::span<const Real>> signals,
+      std::span<const OmpConfig> configs = {}) const;
+
   /// Sparse-codes every column of `signals`, returning the L x N coefficient
-  /// matrix in CSC form.
+  /// matrix in CSC form. Rethrows the first column's error, if any.
   [[nodiscard]] la::CscMatrix encode_all(const Matrix& signals) const;
 
   [[nodiscard]] Index atom_count() const noexcept { return dict_->cols(); }
@@ -63,7 +83,6 @@ class BatchOmp {
   const Matrix* dict_;  // non-owning; caller keeps the dictionary alive
   Matrix gram_;
   OmpConfig config_;
-  Index max_atoms_;
 };
 
 }  // namespace extdict::sparsecoding

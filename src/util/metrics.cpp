@@ -363,14 +363,6 @@ std::int64_t MetricsRegistry::gauge_value(std::string_view name) const {
   return it == gauges_.end() ? 0 : it->second->value();
 }
 
-Histogram& MetricsRegistry::histogram(std::string_view name) {
-  const MutexLock lock(mu_);
-  const auto it = histograms_.find(name);
-  if (it != histograms_.end()) return *it->second;
-  return *histograms_.emplace(std::string(name), std::make_unique<Histogram>())
-              .first->second;
-}
-
 WindowedHistogram& MetricsRegistry::windowed_histogram(std::string_view name) {
   const MutexLock lock(mu_);
   const auto it = windowed_.find(name);
@@ -385,15 +377,10 @@ void MetricsRegistry::observe_windowed(std::string_view name, double value) {
   windowed_histogram(name).record(value);
 }
 
-void MetricsRegistry::observe(std::string_view name, double value) {
-  if (!enabled()) return;
-  histogram(name).record(value);
-}
-
 std::uint64_t MetricsRegistry::histogram_count(std::string_view name) const {
   const MutexLock lock(mu_);
-  const auto it = histograms_.find(name);
-  return it == histograms_.end() ? 0 : it->second->count();
+  const auto it = windowed_.find(name);
+  return it == windowed_.end() ? 0 : it->second->cumulative().count();
 }
 
 void MetricsRegistry::reset() {
@@ -405,7 +392,6 @@ void MetricsRegistry::reset() {
     cell->count.store(0, std::memory_order_relaxed);
     cell->nanos.store(0, std::memory_order_relaxed);
   }
-  for (auto& [name, cell] : histograms_) cell->reset();
   for (auto& [name, cell] : gauges_) cell->reset();
   for (auto& [name, cell] : windowed_) cell->reset();
   // snapshot_seq_ deliberately survives: consumers order dumps by it and
@@ -430,11 +416,11 @@ Json MetricsRegistry::to_json() const {
     spans[name] = std::move(entry);
   }
   Json histograms = Json::object();
-  for (const auto& [name, cell] : histograms_) {
-    histograms[name] = cell->to_json();
-  }
   Json windowed = Json::object();
-  for (const auto& [name, cell] : windowed_) windowed[name] = cell->to_json();
+  for (const auto& [name, cell] : windowed_) {
+    histograms[name] = cell->cumulative().to_json();
+    windowed[name] = cell->to_json();
+  }
   Json out = Json::object();
   out["enabled"] = enabled();
   out["snapshot_seq"] =

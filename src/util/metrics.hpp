@@ -310,24 +310,18 @@ class MetricsRegistry {
   [[nodiscard]] std::int64_t gauge_value(std::string_view name) const
       EXTDICT_EXCLUDES(mu_);
 
-  /// Resolves (creating on first use) the histogram cell for `name`. Like
-  /// counter cells, the reference stays valid for the registry's lifetime.
-  [[nodiscard]] Histogram& histogram(std::string_view name)
-      EXTDICT_EXCLUDES(mu_);
-
   /// Resolves (creating on first use) the windowed-histogram cell for
   /// `name` (default slot width; same lifetime guarantee as the others).
   [[nodiscard]] WindowedHistogram& windowed_histogram(std::string_view name)
       EXTDICT_EXCLUDES(mu_);
 
-  /// windowed_histogram(name).record(value); no-op while disabled.
+  /// windowed_histogram(name).record(value); no-op while disabled. The one
+  /// histogram mutator: each observation is recorded once, and the cell's
+  /// exact `cumulative()` view serves the all-time reads.
   void observe_windowed(std::string_view name, double value)
       EXTDICT_EXCLUDES(mu_);
 
-  /// histogram(name).record(value); no-op while disabled.
-  void observe(std::string_view name, double value) EXTDICT_EXCLUDES(mu_);
-
-  /// Recorded-observation count (0 for a name never touched).
+  /// Cumulative recorded-observation count (0 for a name never touched).
   [[nodiscard]] std::uint64_t histogram_count(std::string_view name) const
       EXTDICT_EXCLUDES(mu_);
 
@@ -352,7 +346,7 @@ class MetricsRegistry {
   ///    "counters": {name: value, ...},
   ///    "gauges": {name: {"value": v, "peak": p}, ...},
   ///    "spans": {name: {"count": n, "seconds": s}, ...},
-  ///    "histograms": {name: Histogram::to_json(), ...},
+  ///    "histograms": {name: cumulative Histogram::to_json(), ...},
   ///    "window_quantiles": {name: WindowedHistogram::to_json(), ...}}
   /// Names are emitted in lexicographic order. `snapshot_seq` increments on
   /// every call (monotone across `reset()`), so two calls on identical state
@@ -382,8 +376,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_
       EXTDICT_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Span>, std::less<>> spans_
-      EXTDICT_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_
       EXTDICT_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_
       EXTDICT_GUARDED_BY(mu_);

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/evolving.hpp"
 #include "core/gram_operator.hpp"
 #include "la/blas.hpp"
 #include "la/cholesky.hpp"
@@ -188,6 +189,28 @@ TEST(Contracts, SparseCodersRejectNaNSignalWhenChecked) {
                util::ContractViolation);
   const sparsecoding::BatchOmp coder(dict, {});
   EXPECT_THROW((void)coder.encode(signal), util::ContractViolation);
+}
+
+TEST(Contracts, BatchEncodersRethrowNaNColumnWhenChecked) {
+  // The throw happens inside encode_many's OpenMP region; it must come back
+  // out as the ContractViolation, not std::terminate.
+  if (!util::checks_enabled()) {
+    GTEST_SKIP() << "finiteness contracts compiled out (EXTDICT_CHECKS=OFF)";
+  }
+  la::Rng rng(9);
+  const Matrix dict = rng.gaussian_matrix(8, 12, true);
+  Matrix signals = rng.gaussian_matrix(8, 40);
+  signals(2, 17) = kNaN;
+  const sparsecoding::BatchOmp coder(dict, {});
+  EXPECT_THROW((void)coder.encode_all(signals), util::ContractViolation);
+
+  core::ExdResult exd;
+  exd.dictionary = dict;
+  exd.coefficients = coder.encode_all(rng.gaussian_matrix(8, 5));
+  core::ExdConfig config;
+  config.dictionary_size = 4;
+  EXPECT_THROW((void)core::evolve(exd, signals, config),
+               util::ContractViolation);
 }
 
 TEST(Contracts, CholeskyRejectsNaNMatrixWhenChecked) {

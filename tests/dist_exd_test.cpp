@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/dist_gram.hpp"
 #include "data/subspace.hpp"
 #include "la/blas.hpp"
+#include "sparsecoding/batch_omp.hpp"
 
 namespace extdict::core {
 namespace {
@@ -80,6 +82,41 @@ TEST(DistExd, CodingWorkIsDistributed) {
     hi = std::max(hi, coding);
   }
   EXPECT_LT(hi, 3 * lo + 10000);
+}
+
+TEST(DistExd, RankFlopsChargeEachColumnsMeteredEncode) {
+  // One FLOP count per fact: a rank's coding charge is the sum of its
+  // columns' metered `code.flops`, exactly what a direct encode reports.
+  // At ε = 1e-10 the coder keeps going after a column's 4-dim subspace is
+  // spanned and rejects dependent atoms on rounding noise; those rejected
+  // appends are work that `encode_flops(nnz)` does not count.
+  const Matrix a = test_data(605);
+  ExdConfig config;
+  config.dictionary_size = 50;
+  config.tolerance = 1e-10;
+  const dist::Cluster cluster(dist::Topology{1, 4});
+  const DistExdResult r = exd_transform_distributed(cluster, a, config);
+  const sparsecoding::BatchOmp coder(
+      r.exd.dictionary,
+      {.tolerance = config.tolerance, .max_atoms = config.max_atoms});
+  const std::uint64_t gram_flops = 2u * 40 * 50 * 50;
+  const ColumnPartition part{a.cols(), 4};
+  ASSERT_EQ(r.stats.per_rank.size(), 4u);
+  std::uint64_t closed_form_total = 0, metered_total = 0;
+  for (Index rank = 0; rank < 4; ++rank) {
+    std::uint64_t metered = 0;
+    for (Index j = part.begin(rank); j < part.end(rank); ++j) {
+      const sparsecoding::SparseCode code = coder.encode(a.col(j));
+      metered += code.flops;
+      closed_form_total += coder.encode_flops(code.nnz());
+    }
+    metered_total += metered;
+    EXPECT_EQ(r.stats.per_rank[static_cast<std::size_t>(rank)].flops -
+                  gram_flops,
+              metered)
+        << "rank " << rank;
+  }
+  EXPECT_NE(metered_total, closed_form_total);  // rejections did occur
 }
 
 TEST(DistExd, Validation) {

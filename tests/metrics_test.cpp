@@ -244,21 +244,25 @@ TEST(Histogram, JsonSnapshotIsDeterministicAndSchemaStable) {
 }
 
 TEST(Metrics, RegistryHistogramsObserveResetAndEmit) {
+  // One record per observation: histogram_count and the "histograms"
+  // section read the windowed cell's cumulative view.
   MetricsRegistry registry;
-  registry.observe("lat", 1e-3);
-  registry.observe("lat", 2e-3);
+  registry.observe_windowed("lat", 1e-3);
+  registry.observe_windowed("lat", 2e-3);
   EXPECT_EQ(registry.histogram_count("lat"), 2u);
   EXPECT_EQ(registry.histogram_count("never"), 0u);
 
   registry.set_enabled(false);
-  registry.observe("lat", 5e-3);  // dropped by the gate
+  registry.observe_windowed("lat", 5e-3);  // dropped by the gate
   EXPECT_EQ(registry.histogram_count("lat"), 2u);
   registry.set_enabled(true);
 
   const Json snapshot = registry.to_json();
   EXPECT_EQ(snapshot.at("histograms").at("lat").at("count").as_u64(), 2u);
+  EXPECT_EQ(snapshot.at("histograms").at("lat").dump(),
+            snapshot.at("window_quantiles").at("lat").at("cumulative").dump());
 
-  Histogram& cell = registry.histogram("lat");
+  WindowedHistogram& cell = registry.windowed_histogram("lat");
   registry.reset();
   EXPECT_EQ(registry.histogram_count("lat"), 0u);
   cell.record(1.0);  // handle survives reset, like counter cells

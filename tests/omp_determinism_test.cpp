@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -177,6 +178,31 @@ TEST(OmpDeterminism, BatchOmpEncodeAll) {
   expect_bitwise(with_threads(1, run), with_threads(kTeam, run));
 }
 
+TEST(OmpDeterminism, BatchOmpEncodeManyMixedConfigs) {
+  const Matrix signals = random_matrix(48, 160, 62);
+  const Matrix dict = random_matrix(48, 32, 63);
+  std::vector<std::span<const Real>> spans;
+  std::vector<sparsecoding::OmpConfig> configs;
+  for (Index j = 0; j < signals.cols(); ++j) {
+    spans.push_back(signals.col(j));
+    configs.push_back({.tolerance = j % 2 == 0 ? 0.1 : 0.3,
+                       .max_atoms = j % 3 == 0 ? 4 : 0});
+  }
+  const sparsecoding::BatchOmp coder(dict, {});
+  auto run = [&] { return coder.encode_many(spans, configs); };
+  const auto one = with_threads(1, run);
+  const auto team = with_threads(kTeam, run);
+  ASSERT_EQ(one.codes.size(), team.codes.size());
+  for (std::size_t i = 0; i < one.codes.size(); ++i) {
+    ASSERT_FALSE(one.errors[i]);
+    ASSERT_FALSE(team.errors[i]);
+    EXPECT_EQ(one.codes[i].entries, team.codes[i].entries) << "signal " << i;
+    EXPECT_EQ(one.codes[i].residual_norm, team.codes[i].residual_norm);
+    EXPECT_EQ(one.codes[i].iterations, team.codes[i].iterations);
+    EXPECT_EQ(one.codes[i].flops, team.codes[i].flops);
+  }
+}
+
 TEST(OmpDeterminism, RcssTransform) {
   const Matrix a = random_matrix(48, 96, 70);
   auto run = [&] { return baselines::rcss_transform(a, 24, 7); };
@@ -197,8 +223,8 @@ TEST(OmpDeterminism, OasisTransform) {
 
 TEST(OmpDeterminism, EvolveBothPasses) {
   // Base projection with a loose dictionary, then evolve with columns the
-  // old dictionary cannot express: exercises both parallel passes (re-encode
-  // and per-failed-column splice).
+  // old dictionary cannot express: exercises both encode_many passes (the
+  // new columns, then the failing ones against the extended dictionary).
   const Matrix a = random_matrix(40, 120, 90);
   core::ExdConfig config;
   config.dictionary_size = 24;
