@@ -1,7 +1,8 @@
 // Google-benchmark microbenches for the substrate kernels: dense BLAS,
 // sparse products, factorizations, the sparse coder, and the emulated
 // cluster's collectives. These are the building blocks whose constants
-// shape every figure; run with --benchmark_filter=... to zoom in.
+// shape every figure; run with --benchmark_filter=... to zoom in. The binary
+// has its own main: it starts the OpenMP team before the first benchmark.
 
 #include <benchmark/benchmark.h>
 
@@ -33,20 +34,40 @@ void BM_Gemv(benchmark::State& state) {
 }
 BENCHMARK(BM_Gemv)->Arg(128)->Arg(512)->Arg(1024);
 
+void BM_Dot(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  la::Rng rng(9);
+  la::Vector x(n), y(n);
+  rng.fill_gaussian(x);
+  rng.fill_gaussian(y);
+  for (auto _ : state) benchmark::DoNotOptimize(la::dot(x, y));
+  state.SetItemsProcessed(state.iterations() * 2 * static_cast<std::int64_t>(n));
+}
+// Column lengths of the evolving (M=48) and lightfield (M=1600) dictionaries.
+BENCHMARK(BM_Dot)->Arg(48)->Arg(1600);
+
 void BM_GemvTransposed(benchmark::State& state) {
-  const la::Index n = state.range(0);
+  const la::Index m = state.range(0);
+  const la::Index n = state.range(1);
   la::Rng rng(2);
-  la::Matrix a = rng.gaussian_matrix(n, n);
-  la::Vector x(static_cast<std::size_t>(n)), y(static_cast<std::size_t>(n));
+  la::Matrix a = rng.gaussian_matrix(m, n);
+  la::Vector x(static_cast<std::size_t>(m)), y(static_cast<std::size_t>(n));
   rng.fill_gaussian(x);
   for (auto _ : state) {
     la::gemv_t(1, a, x, 0, y);
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(la::gemv_flops(n, n)));
+                          static_cast<std::int64_t>(la::gemv_flops(m, n)));
 }
-BENCHMARK(BM_GemvTransposed)->Arg(128)->Arg(512)->Arg(1024);
+// Square shapes, then the lightfield (1600x800) and evolving (48x96)
+// dictionaries.
+BENCHMARK(BM_GemvTransposed)
+    ->Args({128, 128})
+    ->Args({512, 512})
+    ->Args({1024, 1024})
+    ->Args({1600, 800})
+    ->Args({48, 96});
 
 void BM_Gemm(benchmark::State& state) {
   const la::Index n = state.range(0);
@@ -178,3 +199,15 @@ void BM_ClusterAllreduce(benchmark::State& state) {
 BENCHMARK(BM_ClusterAllreduce)->Arg(2)->Arg(8)->Arg(32);
 
 }  // namespace
+
+int main(int argc, char** argv) {
+  // One untimed parallel region first, so the OpenMP team starts here and not
+  // inside the first threaded benchmark.
+#pragma omp parallel default(none)
+  { benchmark::ClobberMemory(); }
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -3,8 +3,14 @@
 //
 //   run_benchmarks [--quick] [--out DIR] [--trace FILE]
 //
-// Emits two schema-stable files (validated by tools/validate_bench_json.py,
+// Emits three schema-stable files (validated by tools/validate_bench_json.py,
 // run in CI's bench-smoke job):
+//
+//   BENCH_kernels.json — achieved single-thread GF/s (median and quartiles
+//     over repeated, warmed-up runs) of dot, gemv, gemv_t, gemm TN and gram
+//     at the lightfield (1600x800) and evolving (48x96) dictionary shapes,
+//     next to the old single-accumulator dot as a baseline row, plus the
+//     projection-vs-greedy time split of one BatchOmp::encode at 1600x800.
 //
 //   BENCH_gram_model.json  — the Fig. 8-style sweep: every GramStrategy of
 //     Algorithm 2 plus the original AᵀA baseline, across datasets and
@@ -31,14 +37,20 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "core/cost_model.hpp"
 #include "core/dist_gram.hpp"
 #include "core/exd.hpp"
 #include "data/datasets.hpp"
 #include "dist/platform.hpp"
+#include "la/blas.hpp"
 #include "la/random.hpp"
 #include "sparsecoding/batch_omp.hpp"
 #include "solvers/lasso.hpp"
@@ -510,6 +522,213 @@ int run_solvers(const Options& options, const std::vector<Dataset>& sets) {
   return rc;
 }
 
+// --- Kernel sweep (BENCH_kernels.json) -------------------------------------
+
+// The single-accumulator dot that every transposed product ran on before the
+// lane kernel, kept here as the baseline row. Not inlined, like the library
+// call it stands in for, and opaque so the timed calls are not hoisted.
+[[gnu::noipa]] Real dot_single_accumulator(std::span<const Real> x,
+                                           std::span<const Real> y) {
+  Real s = 0;
+  for (std::size_t i = 0; i < x.size(); ++i) s += x[i] * y[i];
+  return s;
+}
+
+// Median and quartiles of a sample (linear interpolation between ranks).
+Json spread_json(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const auto at = [&](double q) {
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+  };
+  Json j = Json::object();
+  j["median"] = at(0.5);
+  j["q1"] = at(0.25);
+  j["q3"] = at(0.75);
+  j["iqr"] = at(0.75) - at(0.25);
+  j["min"] = v.front();
+  j["max"] = v.back();
+  return j;
+}
+
+// Keeps a result observable so a timed call cannot be dropped.
+volatile Real g_sink = 0;
+void keep(Real v) { g_sink = v; }
+
+struct Repeated {
+  std::vector<double> seconds_per_call;  // one entry per repetition
+  int calls_per_rep = 0;
+};
+
+// One untimed warm-up repetition that also sizes the batch so a repetition
+// lasts at least `rep_seconds`, then `reps` timed repetitions.
+template <typename F>
+Repeated repeat_timed(F&& call, int reps, double rep_seconds) {
+  Repeated r;
+  util::Timer pilot;
+  int calls = 0;
+  while (calls == 0 || pilot.elapsed_seconds() < rep_seconds) {
+    call();
+    ++calls;
+  }
+  r.calls_per_rep = calls;
+  for (int rep = 0; rep < reps; ++rep) {
+    util::Timer t;
+    for (int i = 0; i < calls; ++i) call();
+    r.seconds_per_call.push_back(t.elapsed_seconds() / calls);
+  }
+  return r;
+}
+
+int run_kernels(const Options& options) {
+  const int reps = options.quick ? 9 : 15;
+  const double rep_seconds = options.quick ? 0.002 : 0.02;
+  constexpr Index kSignals = 32;  // the DᵀX block of the gemm TN row
+
+  Json doc = Json::object();
+  doc["schema_version"] = 1;
+  doc["benchmark"] = "bench/run_benchmarks kernel sweep";
+  doc["mode"] = options.quick ? "quick" : "full";
+  doc["units"] =
+      "gflops: 2 FLOPs per multiply-add over wall time per call, median and "
+      "quartiles over the repetitions after one warm-up repetition; times in "
+      "microseconds per call";
+  doc["repetitions"] = reps;
+  // One core's speed: on a shared host a threaded kernel waits on its slowest
+  // thread, so team runs would time the host's scheduler, not the kernel.
+#ifdef _OPENMP
+  const int team = omp_get_max_threads();
+  omp_set_num_threads(1);
+#endif
+  doc["threads"] = 1;
+
+  const struct { Index m, l; } shapes[] = {{1600, 800}, {48, 96}};
+  Json rows = Json::array();
+  la::Rng rng(31);
+  for (const auto& shape : shapes) {
+    const la::Matrix d = rng.gaussian_matrix(shape.m, shape.l, true);
+    const la::Matrix signals = rng.gaussian_matrix(shape.m, kSignals);
+    const auto m_size = static_cast<std::size_t>(shape.m);
+    const auto l_size = static_cast<std::size_t>(shape.l);
+    la::Vector x(m_size), xl(l_size), y(l_size), ym(m_size);
+    rng.fill_gaussian(x);
+    rng.fill_gaussian(xl);
+    la::Matrix c(shape.l, kSignals);
+    const auto um = static_cast<double>(shape.m);
+    const auto ul = static_cast<double>(shape.l);
+    const std::string name =
+        std::to_string(shape.m) + "x" + std::to_string(shape.l);
+
+    const auto row = [&](const char* kernel, double flops, const Repeated& r,
+                         bool baseline) {
+      std::vector<double> gflops;
+      for (const double s : r.seconds_per_call) gflops.push_back(flops / s / 1e9);
+      std::vector<double> micros;
+      for (const double s : r.seconds_per_call) micros.push_back(s * 1e6);
+      Json j = Json::object();
+      j["kernel"] = kernel;
+      j["shape"] = name;
+      j["m"] = shape.m;
+      j["l"] = shape.l;
+      j["baseline"] = baseline;
+      j["flops_per_call"] = flops;
+      j["calls_per_rep"] = r.calls_per_rep;
+      j["reps"] = static_cast<int>(r.seconds_per_call.size());
+      j["gflops"] = spread_json(gflops);
+      j["us_per_call"] = spread_json(std::move(micros));
+      std::printf("kernels: %-22s %-9s %7.2f GF/s (IQR %.2f)\n", kernel,
+                  name.c_str(), j["gflops"]["median"].as_double(),
+                  j["gflops"]["iqr"].as_double());
+      rows.push_back(std::move(j));
+    };
+
+    // dot: one dictionary column against x, both resident in cache.
+    const auto col0 = d.col(0);
+    row("dot", 2 * um,
+        repeat_timed([&] { keep(la::dot(col0, x)); }, reps, rep_seconds), false);
+    row("dot_single_accumulator", 2 * um,
+        repeat_timed([&] { keep(dot_single_accumulator(col0, x)); }, reps,
+                     rep_seconds),
+        true);
+    row("gemv", 2 * um * ul,
+        repeat_timed([&] { la::gemv(1, d, xl, 0, ym); }, reps, rep_seconds), false);
+    row("gemv_t", 2 * um * ul,
+        repeat_timed([&] { la::gemv_t(1, d, x, 0, y); }, reps, rep_seconds), false);
+    row("gemm_tn", 2 * um * ul * static_cast<double>(kSignals),
+        repeat_timed(
+            [&] { la::gemm(1, d, la::Trans::kYes, signals, la::Trans::kNo, 0, c); },
+            reps, rep_seconds),
+        false);
+    // gram computes the upper triangle: L(L+1)/2 dots of length M.
+    row("gram", um * ul * (ul + 1),
+        repeat_timed([&] { keep(la::gram(d)(0, 0)); }, reps, rep_seconds),
+        false);
+  }
+  doc["kernels"] = std::move(rows);
+
+  // Projection vs greedy split of one served encode at the lightfield shape:
+  // the A0 = Dᵀx projection alone, then the whole encode, over the same
+  // 5-sparse signals.
+  {
+    const Index m = 1600, l = 800;
+    const int count = options.quick ? 16 : 64;
+    const la::Matrix d = rng.gaussian_matrix(m, l, true);
+    la::Matrix signals(m, count);
+    for (Index j = 0; j < count; ++j) {
+      for (int k = 0; k < 5; ++k) {
+        la::axpy(rng.gaussian(), d.col(rng.uniform_index(0, l - 1)), signals.col(j));
+      }
+    }
+    const sparsecoding::BatchOmp coder(d, {.tolerance = 0.05, .max_atoms = 0});
+    la::Vector a0(static_cast<std::size_t>(l));
+    double atoms = 0;
+    for (Index j = 0; j < count; ++j) {
+      atoms += static_cast<double>(coder.encode(signals.col(j)).nnz());
+    }
+    Index next = 0;
+    const Repeated projection = repeat_timed(
+        [&] {
+          la::gemv_t(1, d, signals.col(next), 0, a0);
+          next = (next + 1) % count;
+        },
+        reps, rep_seconds);
+    next = 0;
+    const Repeated encode = repeat_timed(
+        [&] {
+          keep(static_cast<Real>(coder.encode(signals.col(next)).nnz()));
+          next = (next + 1) % count;
+        },
+        reps, rep_seconds);
+    std::vector<double> proj_us, encode_us;
+    for (std::size_t r = 0; r < projection.seconds_per_call.size(); ++r) {
+      proj_us.push_back(projection.seconds_per_call[r] * 1e6);
+      encode_us.push_back(encode.seconds_per_call[r] * 1e6);
+    }
+    Json split = Json::object();
+    split["m"] = m;
+    split["l"] = l;
+    split["signals"] = count;
+    split["atoms_per_signal"] = atoms / count;
+    split["projection_us"] = spread_json(proj_us);
+    split["encode_us"] = spread_json(encode_us);
+    const double proj_med = split["projection_us"]["median"].as_double();
+    const double enc_med = split["encode_us"]["median"].as_double();
+    split["greedy_us"] = enc_med - proj_med;
+    split["projection_share"] = proj_med / enc_med;
+    std::printf("kernels: encode %.1f us = projection %.1f us + greedy %.1f us "
+                "(share %.2f)\n",
+                enc_med, proj_med, enc_med - proj_med, proj_med / enc_med);
+    doc["encode_split"] = std::move(split);
+  }
+
+#ifdef _OPENMP
+  omp_set_num_threads(team);
+#endif
+  return write_file(options.out_dir + "/BENCH_kernels.json", doc);
+}
+
 // Dedicated trace window: one P=4 Alg. 2 run per Gram strategy plus the
 // original AᵀA baseline, on the smallest dataset/transform. Runs with the
 // recorder already enabled (main switches it on before run_solvers), attaches
@@ -589,6 +808,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("run_benchmarks (%s mode)\n", options.quick ? "quick" : "full");
+  // Kernels first, on a machine the later sweeps have not warmed or loaded.
+  const int kernel_rc = run_kernels(options);
   const std::vector<Dataset> sets = load_datasets(options.quick);
 
   // The gram sweep runs untraced: its 70+ cases would swamp the ring buffers
@@ -601,6 +822,7 @@ int main(int argc, char** argv) {
   const int solver_rc = run_solvers(options, sets);
   const int trace_rc =
       options.trace_path.empty() ? 0 : run_trace(options, sets);
+  if (kernel_rc != 0) return kernel_rc;
   if (gram_rc != 0) return gram_rc;
   if (solver_rc != 0) return solver_rc;
   return trace_rc;

@@ -119,7 +119,7 @@ DistGramResult dist_gram_apply(const dist::Cluster& cluster, const Matrix& d,
     la::Vector v1(static_cast<std::size_t>(l));
     la::Vector v2(static_cast<std::size_t>(m));
     la::Vector v3(static_cast<std::size_t>(l));
-    la::Vector v2_local(static_cast<std::size_t>(std::max<Index>(local_m, 1)));
+    la::Vector v2_local(static_cast<std::size_t>(local_m));
 
     const std::uint64_t local_nnz = range_nnz(c, b, e);
 
@@ -162,26 +162,18 @@ DistGramResult dist_gram_apply(const dist::Cluster& cluster, const Matrix& d,
             // Row-partitioned D: every rank's dense work is 2·(M/P)·L mults —
             // the 2·(M·L + nnz)/P parallelisation the paper's Eq. (2) models.
             comm.allreduce_sum(std::span<Real>(v1));  // full Σ v1 everywhere
-            // v2 block: rows [rb, re) of D times v1.
+            // v2 block: rows [rb, re) of D times v1, then the partial Dᵀ
+            // product from the owned row block.
+            const auto rows = static_cast<std::size_t>(rb);
+            const auto count = static_cast<std::size_t>(local_m);
             std::fill(v2_local.begin(), v2_local.end(), Real{0});
             for (Index j = 0; j < l; ++j) {
               const Real w = v1[static_cast<std::size_t>(j)];
-              if (w == Real{0}) continue;
-              const auto col = d.col(j);
-              for (Index i = 0; i < local_m; ++i) {
-                v2_local[static_cast<std::size_t>(i)] +=
-                    w * col[static_cast<std::size_t>(rb + i)];
-              }
+              if (w != Real{0}) la::axpy(w, d.col(j).subspan(rows, count), v2_local);
             }
-            // Partial Dᵀ product from the owned row block.
             for (Index j = 0; j < l; ++j) {
-              const auto col = d.col(j);
-              Real s = 0;
-              for (Index i = 0; i < local_m; ++i) {
-                s += col[static_cast<std::size_t>(rb + i)] *
-                     v2_local[static_cast<std::size_t>(i)];
-              }
-              v3[static_cast<std::size_t>(j)] = s;
+              v3[static_cast<std::size_t>(j)] =
+                  la::dot(d.col(j).subspan(rows, count), v2_local);
             }
             charge_update(4 * static_cast<std::uint64_t>(local_m) *
                           static_cast<std::uint64_t>(l));

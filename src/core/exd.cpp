@@ -1,6 +1,7 @@
 #include "core/exd.hpp"
 
 #include <cmath>
+#include <numeric>
 
 #include "la/blas.hpp"
 #include "la/random.hpp"
@@ -56,9 +57,10 @@ Real transformation_error(const Matrix& a, const Matrix& d, const CscMatrix& c) 
       c.rows() == d.cols() && c.cols() == a.cols() && d.rows() == a.rows(),
       "transformation_error: shape mismatch");
   const Index n = a.cols();
-  Real num = 0, den = 0;
-#pragma omp parallel for schedule(static) default(none) shared(a, d, c, n) \
-    reduction(+ : num, den) if (n > 64)
+  // Per-column energies summed in column order: no dependence on thread count.
+  la::Vector residual(static_cast<std::size_t>(n)), signal(static_cast<std::size_t>(n));
+#pragma omp parallel for schedule(static) default(none) \
+    shared(a, d, c, n, residual, signal) if (n > 64)
   for (Index j = 0; j < n; ++j) {
     la::Vector r(a.col(j).begin(), a.col(j).end());
     const auto rows = c.col_rows(j);
@@ -66,9 +68,11 @@ Real transformation_error(const Matrix& a, const Matrix& d, const CscMatrix& c) 
     for (std::size_t k = 0; k < rows.size(); ++k) {
       la::axpy(-vals[k], d.col(rows[k]), r);
     }
-    num += la::dot(r, r);
-    den += la::dot(a.col(j), a.col(j));
+    residual[static_cast<std::size_t>(j)] = la::dot(r, r);
+    signal[static_cast<std::size_t>(j)] = la::dot(a.col(j), a.col(j));
   }
+  const Real num = std::accumulate(residual.begin(), residual.end(), Real{0});
+  const Real den = std::accumulate(signal.begin(), signal.end(), Real{0});
   EXTDICT_ASSERT(std::isfinite(num) && std::isfinite(den),
                  "transformation_error: non-finite residual energy");
   return den > 0 ? std::sqrt(num / den) : Real{0};

@@ -51,19 +51,21 @@ PlatformSpec PlatformSpec::idataplex(Topology topo) {
 void PlatformSpec::calibrate_on_host() {
   la::Rng rng(42);
 
-  // FLOP rate: timed dense gemv on an in-cache matrix.
+  // FLOP rate: the gemv + gemv_t pair of every Gram apply, on an in-cache matrix.
   {
     const la::Index m = 512, n = 512;
     la::Matrix a = rng.gaussian_matrix(m, n);
-    la::Vector x(static_cast<std::size_t>(n)), y(static_cast<std::size_t>(m));
+    la::Vector x(static_cast<std::size_t>(n)), y(static_cast<std::size_t>(m)),
+        z(static_cast<std::size_t>(n));
     rng.fill_gaussian(x);
     util::Timer t;
     int reps = 0;
     while (t.elapsed_seconds() < 0.05) {
       la::gemv(1, a, x, 0, y);
+      la::gemv_t(1, a, y, 0, z);
       ++reps;
     }
-    const double flops = static_cast<double>(reps) *
+    const double flops = static_cast<double>(reps) * 2 *
                          static_cast<double>(la::gemv_flops(m, n));
     flops_per_second = std::max(1e8, flops / t.elapsed_seconds());
   }

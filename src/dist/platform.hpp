@@ -59,7 +59,8 @@ struct PlatformSpec {
   /// Platform preset emulating the paper's cluster at a given shape.
   [[nodiscard]] static PlatformSpec idataplex(Topology topo);
 
-  /// Measures this host's dense FLOP rate and streaming bandwidth and
+  /// Measures this host's dense FLOP rate (over the gemv + gemv_t pair a
+  /// Gram apply runs) and streaming bandwidth and
   /// rescales the spec accordingly (keeps inter-node parameters, which have
   /// no physical counterpart on a single host, at the preset ratio).
   void calibrate_on_host();

@@ -27,9 +27,16 @@ Real dot(std::span<const Real> x, std::span<const Real> y) noexcept {
   EXTDICT_ASSERT(x.size() == y.size(),
                  "dot: |x|=" + std::to_string(x.size()) +
                      " |y|=" + std::to_string(y.size()));
-  Real s = 0;
-  const std::size_t n = x.size();
-  for (std::size_t i = 0; i < n; ++i) s += x[i] * y[i];
+  // Summation order as documented in blas.hpp: independent lanes let the
+  // compiler vectorize without reassociating, and the order depends on n only.
+  constexpr std::size_t kLanes = 8;
+  const std::size_t n = x.size(), body = n - n % kLanes;
+  Real a[kLanes] = {};
+  for (std::size_t i = 0; i < body; i += kLanes) {
+    for (std::size_t k = 0; k < kLanes; ++k) a[k] += x[i + k] * y[i + k];
+  }
+  Real s = ((a[0] + a[4]) + (a[1] + a[5])) + ((a[2] + a[6]) + (a[3] + a[7]));
+  for (std::size_t i = body; i < n; ++i) s += x[i] * y[i];
   return s;
 }
 
@@ -109,9 +116,6 @@ namespace {
 // Resolves op(A) dimensions.
 Index op_rows(const Matrix& a, Trans t) { return t == Trans::kNo ? a.rows() : a.cols(); }
 Index op_cols(const Matrix& a, Trans t) { return t == Trans::kNo ? a.cols() : a.rows(); }
-Real op_at(const Matrix& a, Trans t, Index i, Index j) {
-  return t == Trans::kNo ? a(i, j) : a(j, i);
-}
 
 }  // namespace
 
@@ -126,10 +130,17 @@ void gemm(Real alpha, const Matrix& a, Trans ta, const Matrix& b, Trans tb,
           util::shape_string(op_rows(b, tb), op_cols(b, tb)) + ", C is " +
           util::shape_string(c.rows(), c.cols()));
 
+  // op(B) = Bᵀ: materialize it once, so every product takes one of the two
+  // contiguous-column paths below.
+  if (tb == Trans::kYes) {
+    gemm(alpha, a, ta, b.transposed(), Trans::kNo, beta, c);
+    return;
+  }
+
   // Fast path: no transposes. Accumulate rank-1 style per column of C, which
   // streams contiguous columns of A — this is the shape ExtDict hits in the
   // hot loop (D * V, etc.).
-  if (ta == Trans::kNo && tb == Trans::kNo) {
+  if (ta == Trans::kNo) {
 #pragma omp parallel for schedule(static) default(none) \
     shared(a, b, c, alpha, beta, n, k) if (n > 1)
     for (Index j = 0; j < n; ++j) {
@@ -149,28 +160,13 @@ void gemm(Real alpha, const Matrix& a, Trans ta, const Matrix& b, Trans tb,
   }
 
   // A^T * B: each C(i,j) is a dot of two contiguous columns.
-  if (ta == Trans::kYes && tb == Trans::kNo) {
 #pragma omp parallel for schedule(static) default(none) \
     shared(a, b, c, alpha, beta, n, m) if (n > 1)
-    for (Index j = 0; j < n; ++j) {
-      for (Index i = 0; i < m; ++i) {
-        const Real d = dot(a.col(i), b.col(j));
-        Real& cij = c(i, j);
-        cij = alpha * d + (beta == Real{0} ? Real{0} : beta * cij);
-      }
-    }
-    return;
-  }
-
-  // Generic fallback for the remaining transpose combinations.
-#pragma omp parallel for schedule(static) default(none) \
-    shared(a, ta, b, tb, c, alpha, beta, m, n, k) if (n > 1)
   for (Index j = 0; j < n; ++j) {
     for (Index i = 0; i < m; ++i) {
-      Real s = 0;
-      for (Index l = 0; l < k; ++l) s += op_at(a, ta, i, l) * op_at(b, tb, l, j);
+      const Real d = dot(a.col(i), b.col(j));
       Real& cij = c(i, j);
-      cij = alpha * s + (beta == Real{0} ? Real{0} : beta * cij);
+      cij = alpha * d + (beta == Real{0} ? Real{0} : beta * cij);
     }
   }
 }

@@ -17,7 +17,10 @@ void axpy(Real alpha, std::span<const Real> x, std::span<Real> y) noexcept;
 /// x *= alpha
 void scal(Real alpha, std::span<Real> x) noexcept;
 
-/// Inner product <x, y>.
+/// Inner product <x, y>, summed in an order fixed by |x| alone: eight lane
+/// accumulators over full 8-element chunks, the pairwise fold
+/// ((a0+a4)+(a1+a5))+((a2+a6)+(a3+a7)), then the tail in sequence. Every
+/// transposed product (gemv_t, gemm with op(A) = Aᵀ, gram) runs on it.
 [[nodiscard]] Real dot(std::span<const Real> x, std::span<const Real> y) noexcept;
 
 /// Euclidean norm ||x||_2 (overflow-safe scaled accumulation).
@@ -48,7 +51,8 @@ void gemv_t(Real alpha, const Matrix& a, std::span<const Real> x, Real beta,
 enum class Trans { kNo, kYes };
 
 /// C = alpha * op(A) * op(B) + beta * C with op in {identity, transpose}.
-/// Blocked over columns of C and parallelised with OpenMP.
+/// Parallel over columns of C; op(B) = Bᵀ is materialized first, and every
+/// op(A) = Aᵀ entry is one dot of two contiguous columns.
 void gemm(Real alpha, const Matrix& a, Trans ta, const Matrix& b, Trans tb,
           Real beta, Matrix& c);
 

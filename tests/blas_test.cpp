@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <span>
 #include <tuple>
 
 #include "la/random.hpp"
@@ -51,6 +53,31 @@ TEST(Blas1, DotMatchesManual) {
   Vector x = {1, 2, 3};
   Vector y = {4, 5, 6};
   EXPECT_EQ(dot(x, y), 32.0);
+}
+
+// The lane kernel against an extended-precision reference at every length
+// through eight full chunks plus every tail, and at every start offset
+// within a chunk (unaligned subspans, as Alg. 2's row blocks hand it).
+TEST(Blas1, DotWithinRoundingBoundAtEveryLengthAndOffset) {
+  Rng rng(3);
+  Vector xs(67 + 8), ys(67 + 8);
+  rng.fill_gaussian(xs);
+  rng.fill_gaussian(ys);
+  const Real eps = std::numeric_limits<Real>::epsilon();
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t n = 0; n <= 67; ++n) {
+      const auto x = std::span<const Real>(xs).subspan(offset, n);
+      const auto y = std::span<const Real>(ys).subspan(offset, n);
+      long double ref = 0, mag = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        ref += static_cast<long double>(x[i]) * static_cast<long double>(y[i]);
+        mag += std::abs(static_cast<long double>(x[i]) * y[i]);
+      }
+      const auto err = std::abs(static_cast<long double>(dot(x, y)) - ref);
+      EXPECT_LE(err, static_cast<long double>(n) * eps * mag)
+          << "n=" << n << " offset=" << offset;
+    }
+  }
 }
 
 TEST(Blas1, Nrm2Matches) {
@@ -104,6 +131,34 @@ TEST(Blas2, GemvTMatchesReference) {
   gemv_t(1, a, x, 0, y);
   for (Index j = 0; j < 9; ++j) {
     EXPECT_NEAR(y[static_cast<std::size_t>(j)], dot(a.col(j), x), 1e-12);
+  }
+}
+
+// Every transposed product is la::dot of the same two columns, bit for bit:
+// row counts off the 8-lane grid exercise the tail, and the 300-column
+// gemv_t takes the OpenMP path.
+TEST(Blas2, TransposedProductsAreBitwiseDot) {
+  Rng rng(12);
+  const Matrix a = rng.gaussian_matrix(1603, 37);
+  const Matrix b = rng.gaussian_matrix(1603, 5);
+  Vector x(1603), y(37);
+  rng.fill_gaussian(x);
+  gemv_t(1, a, x, 0, y);
+  const Matrix c = matmul(a, b, Trans::kYes, Trans::kNo);
+  const Matrix g = gram(a);
+  for (Index j = 0; j < 37; ++j) {
+    EXPECT_EQ(y[static_cast<std::size_t>(j)], dot(a.col(j), x)) << j;
+    for (Index i = 0; i < 37; ++i) EXPECT_EQ(g(i, j), dot(a.col(i), a.col(j)));
+  }
+  for (Index j = 0; j < 5; ++j) {
+    for (Index i = 0; i < 37; ++i) EXPECT_EQ(c(i, j), dot(a.col(i), b.col(j)));
+  }
+  const Matrix wide = rng.gaussian_matrix(203, 300);
+  Vector z(203), w(300);
+  rng.fill_gaussian(z);
+  gemv_t(1, wide, z, 0, w);
+  for (Index j = 0; j < 300; ++j) {
+    EXPECT_EQ(w[static_cast<std::size_t>(j)], dot(wide.col(j), z)) << j;
   }
 }
 

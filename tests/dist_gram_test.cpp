@@ -229,6 +229,57 @@ INSTANTIATE_TEST_SUITE_P(Topologies, PartitionedStrategyTest,
                                            dist::Topology{1, 3},
                                            dist::Topology{2, 4}));
 
+// M=61 on P=3 leaves row blocks of 21, 20 and 20: every rank's slice of each
+// dictionary column is off the dot kernel's 8-lane grid.
+TEST(DistGram, PartitionedRowBlocksOffTheLaneGrid) {
+  data::SubspaceModelConfig config;
+  config.ambient_dim = 61;
+  config.num_columns = 150;
+  config.num_subspaces = 4;
+  config.subspace_dim = 5;
+  config.seed = 83;
+  const Matrix a = data::make_union_of_subspaces(config).a;
+  ExdConfig exd_config;
+  exd_config.dictionary_size = 30;
+  exd_config.tolerance = 0.05;
+  exd_config.seed = 7;
+  const ExdResult exd = exd_transform(a, exd_config);
+  const Index l = exd.dictionary.cols();
+  const dist::Cluster cluster(dist::Topology{1, 3});
+  la::Rng rng(10);
+  la::Vector x0(150);
+  rng.fill_gaussian(x0);
+
+  const auto dist = dist_gram_apply(cluster, exd.dictionary, exd.coefficients,
+                                    x0, 3, GramStrategy::kPartitionedDictionary);
+  TransformedGramOperator op(exd.dictionary, exd.coefficients);
+  const la::Vector expected = serial_reference(op, x0, 3);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_NEAR(dist.y[i], expected[i], 1e-9);
+  }
+
+  // Per-rank charge: against the same run on a 3-row dictionary (one row per
+  // rank, same C and collectives), each rank's FLOPs differ by exactly
+  // 4·(local_m − 1)·L per iteration.
+  Matrix top(3, l);
+  for (Index j = 0; j < l; ++j) {
+    for (Index i = 0; i < 3; ++i) top(i, j) = exd.dictionary(i, j);
+  }
+  const auto small = dist_gram_apply(cluster, top, exd.coefficients, x0, 3,
+                                     GramStrategy::kPartitionedDictionary);
+  const ColumnPartition rows{61, 3};
+  for (Index r = 0; r < 3; ++r) {
+    const auto ru = static_cast<std::size_t>(r);
+    EXPECT_NE(rows.count(r) % 8, 0);
+    EXPECT_EQ(dist.stats.per_rank[ru].flops - small.stats.per_rank[ru].flops,
+              3u * 4u * static_cast<std::uint64_t>(rows.count(r) - 1) *
+                  static_cast<std::uint64_t>(l))
+        << "rank " << r;
+  }
+  EXPECT_EQ(dist.update_flops_per_iteration(),
+            4u * 61u * static_cast<std::uint64_t>(l) + 4u * exd.coefficients.nnz());
+}
+
 TEST(DistGram, PartitionedSplitsDictionaryMemoryAndFlops) {
   const Problem p = make_problem(30);
   const dist::Cluster cluster(dist::Topology{1, 4});

@@ -4,10 +4,6 @@
 // bitwise-identical results — any divergence means iterations share state,
 // i.e. the schedule leaked into the arithmetic.
 //
-// The one documented exception is core::transformation_error, whose
-// reduction(+ : num, den) combines partial sums in a schedule-dependent
-// order; it gets a tight relative tolerance instead of bitwise equality.
-//
 // serve::ExtDictServer and apps::patch_pipeline wrap these kernels behind
 // threads/IO and are covered by their own stress tests.
 #include <gtest/gtest.h>
@@ -249,11 +245,9 @@ TEST(OmpDeterminism, EvolveBothPasses) {
   expect_bitwise(one.first.coefficients, team.first.coefficients);
 }
 
-TEST(OmpDeterminism, TransformationErrorWithinReductionTolerance) {
-  // reduction(+ : num, den): the combine order depends on the team size, so
-  // the result is only reproducible to rounding. 1e-10 relative is orders
-  // of magnitude above double rounding on these sizes and far below any
-  // real race-induced divergence.
+TEST(OmpDeterminism, TransformationError) {
+  // Per-column energies are summed serially in column order, so the team
+  // size cannot reach the combine order.
   const Matrix a = random_matrix(40, 120, 95);
   core::ExdConfig config;
   config.dictionary_size = 32;
@@ -265,7 +259,7 @@ TEST(OmpDeterminism, TransformationErrorWithinReductionTolerance) {
   };
   const Real one = with_threads(1, run);
   const Real team = with_threads(kTeam, run);
-  EXPECT_NEAR(one, team, 1e-10 * std::max<Real>(one, Real{1}));
+  EXPECT_EQ(one, team);
 }
 
 }  // namespace

@@ -90,7 +90,7 @@ TEST(ParallelPaths, EncodeAllManyColumnsMatchesSingleEncodes) {
 }
 
 TEST(ParallelPaths, TransformationErrorLargeN) {
-  // > 64 columns: parallel reduction branch of transformation_error.
+  // > 64 columns: the parallel per-column branch of transformation_error.
   la::Rng rng(5);
   const Matrix a = rng.gaussian_matrix(30, 400, true);
   core::ExdConfig config;

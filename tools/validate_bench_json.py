@@ -4,7 +4,8 @@
 Dependency-free (stdlib json only). CI's bench-smoke job runs
 
     run_benchmarks --quick --out OUT
-    tools/validate_bench_json.py OUT/BENCH_gram_model.json OUT/BENCH_solvers.json
+    tools/validate_bench_json.py OUT/BENCH_gram_model.json OUT/BENCH_solvers.json \
+        OUT/BENCH_kernels.json
     run_server_bench --quick --out OUT
     tools/validate_bench_json.py OUT/BENCH_serve.json OUT/BENCH_cache.json \
         OUT/BENCH_telemetry.json
@@ -567,6 +568,61 @@ TELEMETRY_SCHEMA = {
     },
 }
 
+SPREAD = {
+    "type": "object",
+    "required": ["median", "q1", "q3", "iqr", "min", "max"],
+    "properties": {name: NUMBER for name in (
+        "median", "q1", "q3", "iqr", "min", "max")},
+}
+
+KERNEL_ROW = {
+    "type": "object",
+    "required": [
+        "kernel", "shape", "m", "l", "baseline", "flops_per_call",
+        "calls_per_rep", "reps", "gflops", "us_per_call",
+    ],
+    "properties": {
+        "kernel": STRING,
+        "shape": STRING,
+        "baseline": BOOL,
+        **{name: NUMBER for name in (
+            "m", "l", "flops_per_call", "calls_per_rep", "reps")},
+        "gflops": SPREAD,
+        "us_per_call": SPREAD,
+    },
+}
+
+KERNELS_SCHEMA = {
+    "type": "object",
+    "required": [
+        "schema_version", "benchmark", "mode", "units", "repetitions",
+        "threads", "kernels", "encode_split",
+    ],
+    "properties": {
+        "schema_version": NUMBER,
+        "benchmark": STRING,
+        "mode": STRING,
+        "units": STRING,
+        "repetitions": NUMBER,
+        "threads": NUMBER,
+        "kernels": {"type": "array", "items": KERNEL_ROW},
+        "encode_split": {
+            "type": "object",
+            "required": [
+                "m", "l", "signals", "atoms_per_signal", "projection_us",
+                "encode_us", "greedy_us", "projection_share",
+            ],
+            "properties": {
+                **{name: NUMBER for name in (
+                    "m", "l", "signals", "atoms_per_signal", "greedy_us",
+                    "projection_share")},
+                "projection_us": SPREAD,
+                "encode_us": SPREAD,
+            },
+        },
+    },
+}
+
 TYPE_CHECKS = {
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),
@@ -719,6 +775,46 @@ def check_semantics_solvers(doc, errors):
         if check.get("exact_matches") != case.get("signals"):
             errors.append(f"batch_omp_flop_model[{i}]: exact_matches != "
                           "signals")
+
+
+KERNEL_NAMES = {"dot", "dot_single_accumulator", "gemv", "gemv_t", "gemm_tn",
+                "gram"}
+KERNEL_SHAPES = {"1600x800", "48x96"}
+MIN_REPETITIONS = 9
+
+
+def check_semantics_kernels(doc, errors):
+    """Every kernel at both shapes, each a spread over enough repetitions."""
+    rows = doc.get("kernels", [])
+    seen = {(r.get("kernel"), r.get("shape")) for r in rows}
+    missing = {(k, s) for k in KERNEL_NAMES for s in KERNEL_SHAPES} - seen
+    if missing:
+        errors.append(f"kernel sweep is missing rows: {sorted(missing)}")
+    for i, row in enumerate(rows):
+        if row.get("reps", 0) < MIN_REPETITIONS:
+            errors.append(f"kernels[{i}]: {row.get('reps')} repetitions, "
+                          f"fewer than {MIN_REPETITIONS}")
+        if row.get("baseline") != (row.get("kernel") ==
+                                   "dot_single_accumulator"):
+            errors.append(f"kernels[{i}]: only the single-accumulator dot is "
+                          "the baseline row")
+        for name in ("gflops", "us_per_call"):
+            spread = row.get(name, {})
+            if not (0 < spread.get("min", 0) <= spread.get("q1", 0)
+                    <= spread.get("median", 0) <= spread.get("q3", 0)
+                    <= spread.get("max", 0)):
+                errors.append(f"kernels[{i}].{name}: not an ordered positive "
+                              "spread (min <= q1 <= median <= q3 <= max)")
+    split = doc.get("encode_split", {})
+    share = split.get("projection_share", 0)
+    if not 0 < share <= 1:
+        errors.append(f"encode_split.projection_share {share} is outside "
+                      "(0, 1]")
+    medians = (split.get("projection_us", {}).get("median", 0),
+               split.get("encode_us", {}).get("median", 0))
+    if abs(medians[0] + split.get("greedy_us", 0) - medians[1]) > (
+            1e-9 * max(medians[1], 1)):
+        errors.append("encode_split: projection + greedy != encode")
 
 
 def check_semantics_cache(doc, errors):
@@ -888,8 +984,8 @@ def run(path, schema, semantic_check=None):
 
 def main(argv):
     paths = argv[1:] or ["BENCH_gram_model.json", "BENCH_solvers.json",
-                         "BENCH_serve.json", "BENCH_cache.json",
-                         "BENCH_telemetry.json"]
+                         "BENCH_kernels.json", "BENCH_serve.json",
+                         "BENCH_cache.json", "BENCH_telemetry.json"]
     ok = True
     for path in paths:
         name = Path(path).name
@@ -897,6 +993,8 @@ def main(argv):
             ok &= run(path, GRAM_MODEL_SCHEMA, check_semantics_gram)
         elif "solvers" in name:
             ok &= run(path, SOLVERS_SCHEMA, check_semantics_solvers)
+        elif "kernels" in name:
+            ok &= run(path, KERNELS_SCHEMA, check_semantics_kernels)
         elif "cache" in name:
             ok &= run(path, CACHE_SCHEMA, check_semantics_cache)
         elif "telemetry" in name:
@@ -906,7 +1004,7 @@ def main(argv):
         else:
             print(f"FAIL {path}: unknown artifact (expected "
                   "BENCH_gram_model.json, BENCH_solvers.json, "
-                  "BENCH_serve.json, BENCH_cache.json, or "
+                  "BENCH_kernels.json, BENCH_serve.json, BENCH_cache.json, or "
                   "BENCH_telemetry.json)")
             ok = False
     return 0 if ok else 1
