@@ -39,6 +39,7 @@
 #include <fstream>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #ifdef _OPENMP
@@ -582,6 +583,37 @@ Repeated repeat_timed(F&& call, int reps, double rep_seconds) {
   return r;
 }
 
+// repeat_timed for a part and its whole, timed alternately call by call, so
+// a change in the host's speed during the run moves both alike and the
+// part's share of the whole is not lost in that drift.
+template <typename Part, typename Whole>
+std::pair<Repeated, Repeated> repeat_interleaved(Part&& part, Whole&& whole,
+                                                 int reps, double rep_seconds) {
+  Repeated p, w;
+  util::Timer pilot;
+  int calls = 0;
+  while (calls == 0 || pilot.elapsed_seconds() < rep_seconds) {
+    part();
+    whole();
+    ++calls;
+  }
+  p.calls_per_rep = w.calls_per_rep = calls;
+  for (int rep = 0; rep < reps; ++rep) {
+    double part_s = 0, whole_s = 0;
+    for (int i = 0; i < calls; ++i) {
+      util::Timer t;
+      part();
+      part_s += t.elapsed_seconds();
+      t.restart();
+      whole();
+      whole_s += t.elapsed_seconds();
+    }
+    p.seconds_per_call.push_back(part_s / calls);
+    w.seconds_per_call.push_back(whole_s / calls);
+  }
+  return {std::move(p), std::move(w)};
+}
+
 int run_kernels(const Options& options) {
   const int reps = options.quick ? 9 : 15;
   const double rep_seconds = options.quick ? 0.002 : 0.02;
@@ -616,6 +648,11 @@ int run_kernels(const Options& options) {
     rng.fill_gaussian(x);
     rng.fill_gaussian(xl);
     la::Matrix c(shape.l, kSignals);
+    std::vector<std::span<const Real>> pass;  // one pass of the block kernel
+    for (Index j = 0; j < static_cast<Index>(la::kSignalsPerPass); ++j) {
+      pass.push_back(signals.col(j));
+    }
+    la::Matrix a0(shape.l, static_cast<Index>(la::kSignalsPerPass));
     const auto um = static_cast<double>(shape.m);
     const auto ul = static_cast<double>(shape.l);
     const std::string name =
@@ -656,6 +693,9 @@ int run_kernels(const Options& options) {
         repeat_timed([&] { la::gemv(1, d, xl, 0, ym); }, reps, rep_seconds), false);
     row("gemv_t", 2 * um * ul,
         repeat_timed([&] { la::gemv_t(1, d, x, 0, y); }, reps, rep_seconds), false);
+    row("gemv_t_many", 2 * um * ul * static_cast<double>(pass.size()),
+        repeat_timed([&] { la::gemv_t_many(d, pass, a0); }, reps, rep_seconds),
+        false);
     row("gemm_tn", 2 * um * ul * static_cast<double>(kSignals),
         repeat_timed(
             [&] { la::gemm(1, d, la::Trans::kYes, signals, la::Trans::kNo, 0, c); },
@@ -668,59 +708,99 @@ int run_kernels(const Options& options) {
   }
   doc["kernels"] = std::move(rows);
 
-  // Projection vs greedy split of one served encode at the lightfield shape:
-  // the A0 = Dᵀx projection alone, then the whole encode, over the same
-  // 5-sparse signals.
+  // Projection vs greedy split at the lightfield shape, over the same
+  // 5-sparse signals: one served encode (its projection is the one-signal
+  // block kernel), and per signal of one encode_many call (its projections
+  // are block passes over D).
   {
     const Index m = 1600, l = 800;
-    const int count = options.quick ? 16 : 64;
     const la::Matrix d = rng.gaussian_matrix(m, l, true);
-    la::Matrix signals(m, count);
-    for (Index j = 0; j < count; ++j) {
-      for (int k = 0; k < 5; ++k) {
-        la::axpy(rng.gaussian(), d.col(rng.uniform_index(0, l - 1)), signals.col(j));
+    const auto five_sparse = [&](Index n) {
+      la::Matrix s(m, n);
+      for (Index j = 0; j < n; ++j) {
+        for (int k = 0; k < 5; ++k) {
+          la::axpy(rng.gaussian(), d.col(rng.uniform_index(0, l - 1)), s.col(j));
+        }
       }
-    }
+      return s;
+    };
+    const la::Matrix signals = five_sparse(64);
+    std::vector<std::span<const Real>> spans;
+    for (Index j = 0; j < signals.cols(); ++j) spans.push_back(signals.col(j));
     const sparsecoding::BatchOmp coder(d, {.tolerance = 0.05, .max_atoms = 0});
-    la::Vector a0(static_cast<std::size_t>(l));
+    la::Matrix a0(l, signals.cols());
     double atoms = 0;
-    for (Index j = 0; j < count; ++j) {
-      atoms += static_cast<double>(coder.encode(signals.col(j)).nnz());
+    for (const sparsecoding::SparseCode& code : coder.encode_many(spans).codes) {
+      atoms += static_cast<double>(code.nnz());
     }
-    Index next = 0;
-    const Repeated projection = repeat_timed(
-        [&] {
-          la::gemv_t(1, d, signals.col(next), 0, a0);
-          next = (next + 1) % count;
-        },
-        reps, rep_seconds);
-    next = 0;
-    const Repeated encode = repeat_timed(
-        [&] {
-          keep(static_cast<Real>(coder.encode(signals.col(next)).nnz()));
-          next = (next + 1) % count;
-        },
-        reps, rep_seconds);
-    std::vector<double> proj_us, encode_us;
-    for (std::size_t r = 0; r < projection.seconds_per_call.size(); ++r) {
-      proj_us.push_back(projection.seconds_per_call[r] * 1e6);
-      encode_us.push_back(encode.seconds_per_call[r] * 1e6);
+    const auto split_json = [&](const std::pair<Repeated, Repeated>& timed,
+                                double per_call) {
+      const auto& [projection, encode] = timed;
+      std::vector<double> proj_us, encode_us;
+      for (std::size_t r = 0; r < projection.seconds_per_call.size(); ++r) {
+        proj_us.push_back(projection.seconds_per_call[r] * 1e6 / per_call);
+        encode_us.push_back(encode.seconds_per_call[r] * 1e6 / per_call);
+      }
+      Json split = Json::object();
+      split["m"] = m;
+      split["l"] = l;
+      split["signals"] = signals.cols();
+      split["atoms_per_signal"] = atoms / static_cast<double>(signals.cols());
+      split["projection_us"] = spread_json(proj_us);
+      split["encode_us"] = spread_json(encode_us);
+      const double proj_med = split["projection_us"]["median"].as_double();
+      const double enc_med = split["encode_us"]["median"].as_double();
+      split["greedy_us"] = enc_med - proj_med;
+      split["projection_share"] = proj_med / enc_med;
+      return split;
+    };
+
+    // Each signal is projected, then encoded, before the next one.
+    std::size_t next = 0;
+    doc["encode_split"] = split_json(
+        repeat_interleaved(
+            [&] { la::gemv_t(1, d, spans[next], 0, a0.col(0)); },
+            [&] {
+              keep(static_cast<Real>(coder.encode(spans[next]).nnz()));
+              next = (next + 1) % spans.size();
+            },
+            reps, rep_seconds),
+        1);
+    doc["encode_many_split"] = split_json(
+        repeat_interleaved(
+            [&] { la::gemv_t_many(d, spans, a0); },
+            [&] {
+              keep(static_cast<Real>(coder.encode_many(spans).codes.size()));
+            },
+            reps, rep_seconds),
+        static_cast<double>(signals.cols()));
+    for (const char* key : {"encode_split", "encode_many_split"}) {
+      Json& split = doc[key];
+      std::printf("kernels: %s %.1f us = projection %.1f us + greedy %.1f us "
+                  "(share %.2f)\n",
+                  key, split["encode_us"]["median"].as_double(),
+                  split["projection_us"]["median"].as_double(),
+                  split["greedy_us"].as_double(),
+                  split["projection_share"].as_double());
     }
-    Json split = Json::object();
-    split["m"] = m;
-    split["l"] = l;
-    split["signals"] = count;
-    split["atoms_per_signal"] = atoms / count;
-    split["projection_us"] = spread_json(proj_us);
-    split["encode_us"] = spread_json(encode_us);
-    const double proj_med = split["projection_us"]["median"].as_double();
-    const double enc_med = split["encode_us"]["median"].as_double();
-    split["greedy_us"] = enc_med - proj_med;
-    split["projection_share"] = proj_med / enc_med;
-    std::printf("kernels: encode %.1f us = projection %.1f us + greedy %.1f us "
-                "(share %.2f)\n",
-                enc_med, proj_med, enc_med - proj_med, proj_med / enc_med);
-    doc["encode_split"] = std::move(split);
+
+    // Alg. 1 step 3 at the lightfield shape: encode_all of 400 signals.
+    const la::Matrix many = five_sparse(400);
+    const Repeated all = repeat_timed(
+        [&] { keep(static_cast<Real>(coder.encode_all(many).nnz())); },
+        options.quick ? 9 : 11, 0);
+    std::vector<double> all_ms;
+    for (const double t : all.seconds_per_call) all_ms.push_back(t * 1e3);
+    Json encode_all = Json::object();
+    encode_all["m"] = m;
+    encode_all["l"] = l;
+    encode_all["signals"] = many.cols();
+    encode_all["ms"] = spread_json(std::move(all_ms));
+    std::printf("kernels: encode_all %lldx%lld, %lld signals: %.1f ms\n",
+                static_cast<long long>(m), static_cast<long long>(l),
+                static_cast<long long>(many.cols()),
+                encode_all["ms"]["median"].as_double());
+    doc["encode_all"] = std::move(encode_all);
   }
 
 #ifdef _OPENMP

@@ -30,19 +30,16 @@ Matrix extend_gram_bordered(const Matrix& gram, const Matrix& dict,
     const auto dst = out.col(j);
     std::copy(src.begin(), src.end(), dst.begin());
   }
-  // Border blocks, with la::gram's exact accumulation (a plain la::dot per
-  // entry) so G' is bitwise what a full recompute would produce.
+  // Border blocks on the block kernel: the cross block Dᵀ·A_new and the new
+  // atoms' own Gram. Each entry is one la::dot, as in la::gram, so G' is
+  // bitwise what a full recompute would produce.
+  const Matrix cross = la::matmul(dict, new_atoms, la::Trans::kYes);
+  const Matrix corner = la::gram(new_atoms);
   const Index n = l + k;
-#pragma omp parallel for schedule(dynamic, 8) default(none) \
-    shared(out, dict, new_atoms, l, k) if (k > 1)
   for (Index jk = 0; jk < k; ++jk) {
-    const Index j = l + jk;
-    for (Index i = 0; i < l; ++i) {
-      out(i, j) = la::dot(dict.col(i), new_atoms.col(jk));
-    }
-    for (Index ik = 0; ik <= jk; ++ik) {
-      out(l + ik, j) = la::dot(new_atoms.col(ik), new_atoms.col(jk));
-    }
+    const auto top = cross.col(jk);
+    std::copy(top.begin(), top.end(), out.col(l + jk).begin());
+    for (Index ik = 0; ik <= jk; ++ik) out(l + ik, l + jk) = corner(ik, jk);
   }
   // Mirror the border into the bottom-left rows.
   for (Index j = 0; j < n; ++j) {

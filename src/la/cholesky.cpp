@@ -59,12 +59,14 @@ Vector Cholesky::solve(std::span<const Real> b) const {
   return x;
 }
 
-ProgressiveCholesky::ProgressiveCholesky(Index capacity)
-    : capacity_(capacity),
-      l_(static_cast<std::size_t>(capacity * (capacity + 1) / 2), Real{0}) {
+ProgressiveCholesky::ProgressiveCholesky(Index capacity) { reset(capacity); }
+
+void ProgressiveCholesky::reset(Index capacity) {
   EXTDICT_REQUIRE_SHAPE(capacity > 0,
                         "ProgressiveCholesky: capacity must be > 0, got " +
                             std::to_string(capacity));
+  capacity_ = capacity;
+  n_ = 0;
 }
 
 bool ProgressiveCholesky::append(std::span<const Real> g_new, Real g_diag) {
@@ -80,6 +82,7 @@ bool ProgressiveCholesky::append(std::span<const Real> g_new, Real g_diag) {
   }
   // Solve L w = g_new; the new row of L is [w^T, sqrt(g_diag - ||w||^2)].
   const Index i = n_;
+  l_.resize(static_cast<std::size_t>((i + 1) * (i + 2) / 2));
   Real ssq = 0;
   for (Index j = 0; j < i; ++j) {
     Real s = g_new[static_cast<std::size_t>(j)];

@@ -37,8 +37,9 @@ class Cholesky {
 /// products of the new atom against the already-selected ones plus itself).
 class ProgressiveCholesky {
  public:
-  /// `capacity` is the maximum number of atoms ever selected (pre-allocates
-  /// the triangular factor once; no reallocation in the OMP hot loop).
+  /// `capacity` is the maximum number of atoms ever selected. The packed
+  /// factor grows with `append` and keeps its storage across `reset`, so a
+  /// reused factor stops allocating once it has held its largest selection.
   explicit ProgressiveCholesky(Index capacity);
 
   /// Current size of the factor.
@@ -62,8 +63,11 @@ class ProgressiveCholesky {
 
   void reset() noexcept { n_ = 0; }
 
+  /// Empties the factor and sets a new capacity (> 0).
+  void reset(Index capacity);
+
  private:
-  Index capacity_;
+  Index capacity_ = 0;
   Index n_ = 0;
   // Row-major packed lower triangle: row i occupies l_[i*(i+1)/2 .. +i].
   std::vector<Real> l_;

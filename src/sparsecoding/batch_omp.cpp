@@ -25,55 +25,49 @@ BatchOmp::BatchOmp(const Matrix& dict, Matrix gram, OmpConfig config)
           std::to_string(dict.cols()) + " columns");
 }
 
-// extdict-lint: allow(missing-shape-contract) delegates to the checked overload
-SparseCode BatchOmp::encode(std::span<const Real> signal) const {
-  return encode(signal, config_);
-}
+namespace {
 
-SparseCode BatchOmp::encode(std::span<const Real> signal,
-                            const OmpConfig& config) const {
-  const Index m = dict_->rows();
-  const Index l = dict_->cols();
-  const Index max_atoms =
-      config.max_atoms > 0
-          ? std::min(config.max_atoms, std::min(m, l))
-          : std::min(m, l);
-  EXTDICT_REQUIRE_SHAPE(static_cast<Index>(signal.size()) == m,
-                        "BatchOmp::encode: |signal|=" +
-                            std::to_string(signal.size()) +
-                            " but dictionary has " + std::to_string(m) +
-                            " rows");
+constexpr auto kBlock = static_cast<Index>(la::kSignalsPerPass);
 
-  EXTDICT_CHECK_FINITE(signal, "BatchOmp::encode: signal");
+// One thread's scratch, reused across blocks and signals: the block's
+// projections A₀ = DᵀX and the greedy loop's vectors, so once they have
+// grown, coding a signal allocates only its code.
+struct Workspace {
+  Workspace(Index atoms, Index block) : a0(atoms, block) {}
+  la::Matrix a0;
+  la::Vector alpha, beta, gamma, g_new;
+  std::vector<Index> selected;
+  std::vector<bool> used;
+  la::ProgressiveCholesky chol{1};
+};
 
-  SparseCode code;
+// The greedy Batch-OMP loop for one signal, from its projection
+// alpha0 = Dᵀx and energy eps0 = <x, x> > 0. `code.flops` arrives holding
+// the energy's charge.
+void pursue(const Matrix& gram, std::span<const Real> alpha0, Real eps0,
+            Index max_atoms, Real tolerance, Workspace& ws, SparseCode& code) {
+  const auto l = static_cast<Index>(alpha0.size());
+  const auto ul = static_cast<std::uint64_t>(l);
   // Exact FLOP meter (2 FLOPs per multiply-add, matching la/blas.hpp's
   // gemv_flops/gemm_flops convention). Each kernel call below charges its
   // actual runtime size so `code.flops` is the true count even on runs with
   // dependent-atom rejections; on clean runs it equals `encode_flops(k)`.
-  const auto um = static_cast<std::uint64_t>(m);
-  const auto ul = static_cast<std::uint64_t>(l);
-  std::uint64_t flops = 2 * um;  // eps0 = <x, x>
-  const Real eps0 = la::dot(signal, signal);
-  if (eps0 == Real{0} || max_atoms == 0) {
-    code.flops = flops;
-    return code;
-  }
+  std::uint64_t flops = code.flops;
   // Stop when ||r||² <= (ε ||x||)².
-  const Real target_sq = config.tolerance * config.tolerance * eps0;
+  const Real target_sq = tolerance * tolerance * eps0;
 
-  // alpha0 = Dᵀ x (computed once); alpha = Dᵀ r maintained via the Gram.
-  la::Vector alpha0(static_cast<std::size_t>(l));
-  la::gemv_t(1, *dict_, signal, 0, alpha0);
-  flops += 2 * um * ul;
-  la::Vector alpha = alpha0;
-
-  la::ProgressiveCholesky chol(max_atoms);
-  std::vector<Index> selected;
-  std::vector<bool> used(static_cast<std::size_t>(l), false);
-  la::Vector gamma;                 // coefficients on the selection
-  la::Vector g_new;                 // G(selected, k) scratch
-  la::Vector beta(static_cast<std::size_t>(l));
+  // alpha = Dᵀ r maintained via the Gram.
+  ws.alpha.assign(alpha0.begin(), alpha0.end());
+  ws.beta.resize(alpha0.size());
+  ws.used.assign(alpha0.size(), false);
+  ws.selected.clear();
+  ws.chol.reset(max_atoms);
+  la::Vector& alpha = ws.alpha;
+  la::Vector& beta = ws.beta;
+  la::Vector& gamma = ws.gamma;  // coefficients on the selection
+  la::Vector& g_new = ws.g_new;  // G(selected, k) scratch
+  std::vector<Index>& selected = ws.selected;
+  std::vector<bool>& used = ws.used;
   Real eps = eps0;
   std::uint64_t n_used = 0;  // `used` flags set, for the scan charge
 
@@ -96,7 +90,7 @@ SparseCode BatchOmp::encode(std::span<const Real> signal,
     g_new.resize(static_cast<std::size_t>(k));
     for (Index a = 0; a < k; ++a) {
       g_new[static_cast<std::size_t>(a)] =
-          gram_(selected[static_cast<std::size_t>(a)], best);
+          gram(selected[static_cast<std::size_t>(a)], best);
     }
     // ProgressiveCholesky::append at size k: forward solve L w = g_new
     // (k² + 2k multiply-adds incl. the squared-sum accumulation) plus the
@@ -104,7 +98,7 @@ SparseCode BatchOmp::encode(std::span<const Real> signal,
     // pivot check accepts the atom — the solve ran either way.
     const auto uk = static_cast<std::uint64_t>(k);
     flops += uk * uk + 2 * uk + 2;
-    if (!chol.append(g_new, gram_(best, best))) {
+    if (!ws.chol.append(g_new, gram(best, best))) {
       // Linearly dependent atom — exclude it and keep searching.
       used[static_cast<std::size_t>(best)] = true;
       alpha[static_cast<std::size_t>(best)] = 0;
@@ -123,7 +117,7 @@ SparseCode BatchOmp::encode(std::span<const Real> signal,
       gamma[static_cast<std::size_t>(a)] =
           alpha0[static_cast<std::size_t>(selected[static_cast<std::size_t>(a)])];
     }
-    chol.solve_in_place(gamma);
+    ws.chol.solve_in_place(gamma);
     // Forward + back substitution at size s: s² multiply-adds each → 2s².
     flops += 2 * static_cast<std::uint64_t>(ks) * static_cast<std::uint64_t>(ks);
     EXTDICT_ASSERT(util::first_non_finite(gamma) < 0,
@@ -137,7 +131,7 @@ SparseCode BatchOmp::encode(std::span<const Real> signal,
       const Index atom = selected[static_cast<std::size_t>(a)];
       const Real ga = gamma[static_cast<std::size_t>(a)];
       if (ga == Real{0}) continue;
-      la::axpy(-ga, gram_.col(atom), beta);
+      la::axpy(-ga, gram.col(atom), beta);
       flops += 2 * ul;
     }
     alpha = beta;
@@ -158,7 +152,76 @@ SparseCode BatchOmp::encode(std::span<const Real> signal,
   }
   code.residual_norm = std::sqrt(eps);
   code.flops = flops;
-  return code;
+}
+
+// Codes one block of at most kBlock signals, under `fallback` when `configs`
+// is empty: each is checked on its own, the block is projected in one pass
+// over D, then each runs its greedy loop. A throw fills only its own
+// signal's error slot.
+void encode_block(const Matrix& dict, const Matrix& gram,
+                  std::span<const std::span<const Real>> signals,
+                  std::span<const OmpConfig> configs,
+                  const OmpConfig& fallback, Workspace& ws, SparseCode* codes,
+                  std::exception_ptr* errors) {
+  const Index m = dict.rows();
+  const Index l = dict.cols();
+  const auto um = static_cast<std::uint64_t>(m);
+  std::span<const Real> projected[la::kSignalsPerPass];
+  std::size_t slot[la::kSignalsPerPass] = {};
+  Real eps0[la::kSignalsPerPass] = {};
+  Index max_atoms[la::kSignalsPerPass] = {};
+  std::size_t n_projected = 0;
+  for (std::size_t s = 0; s < signals.size(); ++s) {
+    try {
+      const std::span<const Real> signal = signals[s];
+      EXTDICT_REQUIRE_SHAPE(static_cast<Index>(signal.size()) == m,
+                            "BatchOmp::encode: |signal|=" +
+                                std::to_string(signal.size()) +
+                                " but dictionary has " + std::to_string(m) +
+                                " rows");
+      EXTDICT_CHECK_FINITE(signal, "BatchOmp::encode: signal");
+      eps0[s] = la::dot(signal, signal);
+      codes[s].flops = 2 * um;  // eps0 = <x, x>
+      const Index cap = (configs.empty() ? fallback : configs[s]).max_atoms;
+      max_atoms[s] = cap > 0 ? std::min(cap, std::min(m, l)) : std::min(m, l);
+      if (eps0[s] != Real{0} && max_atoms[s] != 0) {
+        projected[n_projected] = signal;
+        slot[n_projected++] = s;
+      }
+    } catch (...) {
+      // E.g. a non-finite signal tripping EXTDICT_CHECK_FINITE in a checked
+      // build: an exception escaping the parallel region would terminate.
+      errors[s] = std::current_exception();
+    }
+  }
+  if (n_projected == 0) return;
+  // A₀ = DᵀX for the block, computed once; column k is signal slot[k]'s.
+  la::gemv_t_many(dict, std::span(projected, n_projected), ws.a0);
+  for (std::size_t k = 0; k < n_projected; ++k) {
+    const std::size_t s = slot[k];
+    try {
+      codes[s].flops += 2 * um * static_cast<std::uint64_t>(l);  // Dᵀx
+      pursue(gram, ws.a0.col(static_cast<Index>(k)), eps0[s], max_atoms[s],
+             (configs.empty() ? fallback : configs[s]).tolerance, ws,
+             codes[s]);
+    } catch (...) {
+      codes[s] = {};
+      errors[s] = std::current_exception();
+    }
+  }
+}
+
+}  // namespace
+
+// extdict-lint: allow(missing-shape-contract) delegates to the checked overload
+SparseCode BatchOmp::encode(std::span<const Real> signal) const {
+  return encode(signal, config_);
+}
+
+// extdict-lint: allow(missing-shape-contract) the one-signal case of encode_many, which checks the signal
+SparseCode BatchOmp::encode(std::span<const Real> signal,
+                            const OmpConfig& config) const {
+  return std::move(encode_many({&signal, 1}, {&config, 1}).take_codes().front());
 }
 
 std::vector<SparseCode> BatchOmp::Batch::take_codes() && {
@@ -175,20 +238,30 @@ BatchOmp::Batch BatchOmp::encode_many(
                         "BatchOmp::encode_many: " +
                             std::to_string(configs.size()) + " configs for " +
                             std::to_string(signals.size()) + " signals");
+  if (signals.empty()) return {};
   const Index n = static_cast<Index>(signals.size());
   std::vector<SparseCode> codes(signals.size());
   std::vector<std::exception_ptr> errors(signals.size());
   const OmpConfig& fallback = config_;  // named, so default(none) can list it
-#pragma omp parallel for schedule(guided) default(none) \
-    shared(signals, configs, fallback, codes, errors, n) if (n > 1)
-  for (Index j = 0; j < n; ++j) {
-    const auto i = static_cast<std::size_t>(j);
-    try {
-      codes[i] = encode(signals[i], configs.empty() ? fallback : configs[i]);
-    } catch (...) {
-      // E.g. a non-finite signal tripping EXTDICT_CHECK_FINITE in a checked
-      // build: an exception escaping the region would std::terminate.
-      errors[i] = std::current_exception();
+  const Matrix& dict = *dict_;
+  const Matrix& gram = gram_;
+  const Index blocks = (n + kBlock - 1) / kBlock;
+  const Index width = std::min(n, kBlock);
+#pragma omp parallel default(none) \
+    shared(signals, configs, fallback, dict, gram, codes, errors, n, blocks, \
+               width) \
+    if (blocks > 1)
+  {
+    Workspace ws(dict.cols(), width);
+#pragma omp for schedule(dynamic)
+    for (Index b = 0; b < blocks; ++b) {
+      const Index first = b * kBlock;
+      const auto at = static_cast<std::size_t>(first);
+      const auto count =
+          static_cast<std::size_t>(std::min(Index{kBlock}, n - first));
+      encode_block(dict, gram, signals.subspan(at, count),
+                   configs.empty() ? configs : configs.subspan(at, count),
+                   fallback, ws, codes.data() + at, errors.data() + at);
     }
   }
   return {std::move(codes), std::move(errors)};

@@ -18,9 +18,11 @@ namespace extdict::sparsecoding {
 /// G = DᵀD is computed once per dictionary; encoding a signal then costs
 /// O(M·L) for the initial correlations plus O(L·k + k²) per greedy
 /// iteration, never touching the residual explicitly. `encode_many` is the
-/// one OpenMP loop over signals — each column of C is independent (Alg. 1
-/// step 3 runs per processor in the paper) — and every batch caller goes
-/// through it.
+/// one OpenMP loop, over blocks of la::kSignalsPerPass signals — each column
+/// of C is independent (Alg. 1 step 3 runs per processor in the paper). A
+/// block's correlations A₀ = DᵀX come from one `la::gemv_t_many` pass over
+/// D, so D is streamed once per block rather than once per signal. Every
+/// caller, `encode` included, goes through it.
 class BatchOmp {
  public:
   BatchOmp(const Matrix& dict, OmpConfig config);
@@ -39,7 +41,7 @@ class BatchOmp {
 
   /// Sparse-codes a single signal under a caller-supplied stopping rule —
   /// the resident Gram/dictionary state is shared, only ε / max_atoms vary.
-  /// This is the entry the serving layer uses for per-request tolerances.
+  /// The one-signal case of `encode_many`; rethrows its error.
   [[nodiscard]] SparseCode encode(std::span<const Real> signal,
                                   const OmpConfig& config) const;
 
@@ -53,9 +55,11 @@ class BatchOmp {
     [[nodiscard]] std::vector<SparseCode> take_codes() &&;
   };
 
-  /// Sparse-codes every signal, in parallel over signals: codes[i] equals
+  /// Sparse-codes every signal, in parallel over blocks of signals (one
+  /// block runs in the calling thread, opening no team): codes[i] equals
   /// `encode(signals[i], configs[i])` bit for bit, or the construction
   /// config's code when `configs` is empty (else one config per signal).
+  /// Each signal is checked on its own, so a bad one fails only its slot.
   [[nodiscard]] Batch encode_many(
       std::span<const std::span<const Real>> signals,
       std::span<const OmpConfig> configs = {}) const;

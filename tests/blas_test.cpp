@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <tuple>
+#include <vector>
 
 #include "la/random.hpp"
 
@@ -159,6 +162,98 @@ TEST(Blas2, TransposedProductsAreBitwiseDot) {
   gemv_t(1, wide, z, 0, w);
   for (Index j = 0; j < 300; ++j) {
     EXPECT_EQ(w[static_cast<std::size_t>(j)], dot(wide.col(j), z)) << j;
+  }
+}
+
+// Bitwise equality: every transposed product must be la::dot itself, not a
+// value within rounding of it.
+void expect_bitwise(Real got, Real want, const std::string& where) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
+      << where << ": " << got << " vs " << want;
+}
+
+TEST(Blas2, GemvTManyIsBitwiseDotForEverySignalCountAndLength) {
+  Rng rng(13);
+  for (const Index n : {0, 1, 7, 8, 9, 63, 1603}) {
+    const Matrix a = rng.gaussian_matrix(n, 11);
+    const Matrix x = rng.gaussian_matrix(n, 17);
+    std::vector<std::span<const Real>> xs;
+    for (Index s = 0; s < x.cols(); ++s) xs.push_back(x.col(s));
+    for (std::size_t count = 1; count <= xs.size(); ++count) {
+      Matrix y(a.cols(), static_cast<Index>(count));
+      gemv_t_many(a, std::span(xs).first(count), y);
+      for (std::size_t s = 0; s < count; ++s) {
+        for (Index j = 0; j < a.cols(); ++j) {
+          expect_bitwise(y(j, static_cast<Index>(s)), dot(a.col(j), xs[s]),
+                         "n=" + std::to_string(n) + " count=" +
+                             std::to_string(count) + " s=" + std::to_string(s));
+        }
+      }
+    }
+  }
+}
+
+TEST(Blas2, GemvTManyReadsSpansOffTheVectorAlignment) {
+  // Each signal starts 1-7 doubles past an aligned allocation, and the
+  // 61-row columns of A start at every offset mod 8.
+  Rng rng(14);
+  const Index n = 61;
+  const Matrix a = rng.gaussian_matrix(n, 9);
+  std::vector<Vector> buffers;
+  std::vector<std::span<const Real>> xs;
+  for (std::size_t offset = 1; offset <= 7; ++offset) {
+    Vector& b = buffers.emplace_back(static_cast<std::size_t>(n) + offset);
+    rng.fill_gaussian(b);
+  }
+  for (std::size_t offset = 1; offset <= 7; ++offset) {
+    xs.push_back(std::span<const Real>(buffers[offset - 1])
+                     .subspan(offset, static_cast<std::size_t>(n)));
+  }
+  Matrix y(a.cols(), 7);
+  gemv_t_many(a, xs, y);
+  for (std::size_t s = 0; s < xs.size(); ++s) {
+    for (Index j = 0; j < a.cols(); ++j) {
+      expect_bitwise(y(j, static_cast<Index>(s)), dot(a.col(j), xs[s]),
+                     "offset " + std::to_string(s + 1));
+      expect_bitwise(dot(xs[s], a.col(j)), dot(a.col(j), xs[s]),
+                     "swapped offset " + std::to_string(s + 1));
+    }
+  }
+}
+
+TEST(Blas2, GemvTManyShapeContracts) {
+  Rng rng(15);
+  const Matrix a = rng.gaussian_matrix(6, 4);
+  const Vector x(6, 1.0), short_x(5, 1.0);
+  const std::span<const Real> ok[] = {x, x};
+  const std::span<const Real> bad[] = {x, short_x};
+  Matrix y(4, 2), narrow(4, 1), tall(5, 2);
+  EXPECT_THROW(gemv_t_many(a, bad, y), std::invalid_argument);
+  EXPECT_THROW(gemv_t_many(a, ok, narrow), std::invalid_argument);
+  EXPECT_THROW(gemv_t_many(a, ok, tall), std::invalid_argument);
+  Matrix wide(4, 3);
+  wide(0, 2) = 7.0;
+  gemv_t_many(a, ok, wide);
+  EXPECT_EQ(wide(0, 2), 7.0);  // columns past |xs| are untouched
+}
+
+TEST(Blas3, GramAndGemmTnAreBitwiseDotAcrossBlockBoundaries) {
+  // 37 columns and 8k±1 columns: partial last blocks, single-column blocks
+  // and the diagonal block's below-diagonal entries.
+  Rng rng(16);
+  for (const Index cols : {1, 7, 9, 15, 17, 37, 63, 65}) {
+    const Matrix a = rng.gaussian_matrix(203, cols);
+    const Matrix g = gram(a);
+    const Matrix c = matmul(a, a, Trans::kYes, Trans::kNo);
+    for (Index j = 0; j < cols; ++j) {
+      for (Index i = 0; i < cols; ++i) {
+        const Real want = dot(a.col(std::min(i, j)), a.col(std::max(i, j)));
+        const std::string where = "cols=" + std::to_string(cols) + " (" +
+                                  std::to_string(i) + "," + std::to_string(j) + ")";
+        expect_bitwise(g(i, j), want, "gram " + where);
+        expect_bitwise(c(i, j), dot(a.col(i), a.col(j)), "gemm " + where);
+      }
+    }
   }
 }
 

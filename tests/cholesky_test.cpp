@@ -88,6 +88,22 @@ TEST(ProgressiveCholesky, CapacityEnforced) {
   EXPECT_THROW(prog.append(g_new, 1.0), std::logic_error);
 }
 
+TEST(ProgressiveCholesky, ResetToANewCapacityReusesTheFactor) {
+  ProgressiveCholesky prog(1);
+  ASSERT_TRUE(prog.append({}, 4.0));
+  prog.reset(2);
+  EXPECT_EQ(prog.size(), 0);
+  ASSERT_TRUE(prog.append({}, 4.0));
+  Vector g_new = {1.0};
+  ASSERT_TRUE(prog.append(g_new, 5.0));  // [[4,1],[1,5]] = L Lᵀ
+  Vector b = {5.0, 6.0};
+  prog.solve_in_place(b);
+  EXPECT_NEAR(b[0], 1.0, 1e-14);
+  EXPECT_NEAR(b[1], 1.0, 1e-14);
+  EXPECT_THROW(prog.append(b, 9.0), std::logic_error);
+  EXPECT_THROW(prog.reset(0), std::invalid_argument);
+}
+
 TEST(ProgressiveCholesky, ResetAllowsReuse) {
   ProgressiveCholesky prog(2);
   ASSERT_TRUE(prog.append({}, 4.0));

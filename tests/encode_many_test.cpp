@@ -189,6 +189,72 @@ TEST(EncodeMany, NonFiniteSignalFillsOnlyItsOwnSlotWhenChecked) {
                         nan_signal);
 }
 
+// encode_many codes blocks of la::kSignalsPerPass signals from one shared
+// projection: batch sizes below, at and past one block, and past two.
+TEST(EncodeMany, EveryBatchSizeAroundTheBlockMatchesPerSignalEncode) {
+  la::Rng rng(113);
+  const Matrix dict = rng.gaussian_matrix(40, 64, true);
+  const BatchOmp coder(dict, {.tolerance = 0.05, .max_atoms = 0});
+  for (const Index n : {1, 7, 8, 9, 17}) {
+    const Matrix signals = rng.gaussian_matrix(40, n);
+    const BatchOmp::Batch batch = coder.encode_many(column_spans(signals));
+    ASSERT_EQ(batch.codes.size(), static_cast<std::size_t>(n));
+    for (Index j = 0; j < n; ++j) {
+      const auto i = static_cast<std::size_t>(j);
+      EXPECT_FALSE(batch.errors[i]) << "n=" << n << " signal " << j;
+      expect_same_code(batch.codes[i], coder.encode(signals.col(j)));
+    }
+  }
+}
+
+TEST(EncodeMany, BadSignalMidBlockAndInLastSlotFillsOnlyItsOwnSlot) {
+  // 17 signals = blocks [0, 8), [8, 16), [16]: slot 3 is mid-block, 7 and 15
+  // are a block's last slot, 16 is a one-signal block.
+  la::Rng rng(114);
+  const Matrix dict = rng.gaussian_matrix(12, 20, true);
+  const Matrix signals = rng.gaussian_matrix(12, 17);
+  const BatchOmp coder(dict, {.tolerance = 0.1});
+  const Vector short_signal(11, 1.0);
+  for (const Index bad : {3, 7, 15, 16}) {
+    SCOPED_TRACE("wrong length at " + std::to_string(bad));
+    expect_error_confined(coder, signals, bad, short_signal);
+  }
+  if (!util::checks_enabled()) return;  // finiteness contracts compiled out
+  for (const Index bad : {3, 7, 15, 16}) {
+    SCOPED_TRACE("NaN at " + std::to_string(bad));
+    Vector nan_signal(signals.col(bad).begin(), signals.col(bad).end());
+    nan_signal[5] = std::numeric_limits<Real>::quiet_NaN();
+    expect_error_confined(coder, signals, bad, nan_signal);
+  }
+}
+
+TEST(EncodeMany, UnprojectedSignalsInABlockChargeOnlyTheirEnergy) {
+  // A zero signal needs no projection: inside a block it still costs exactly
+  // the 2M FLOPs of <x, x>, and its neighbours' codes are unchanged.
+  la::Rng rng(115);
+  const Index m = 16;
+  const Matrix dict = rng.gaussian_matrix(m, 24, true);
+  const Matrix signals = signals_with_zero(m, 9, 116);
+  const BatchOmp coder(dict, {.tolerance = 0.1});
+  const BatchOmp::Batch batch = coder.encode_many(column_spans(signals));
+  EXPECT_EQ(batch.codes[3].flops, static_cast<std::uint64_t>(2 * m));
+  EXPECT_TRUE(batch.codes[3].entries.empty());
+  EXPECT_EQ(batch.codes[3].iterations, 0);
+  for (Index j = 0; j < signals.cols(); ++j) {
+    expect_same_code(batch.codes[static_cast<std::size_t>(j)],
+                     coder.encode(signals.col(j)));
+  }
+  // max_atoms = 0 means min(M, L) atoms, which is zero for a dictionary with
+  // no atoms: every signal of the block is then unprojected.
+  const Matrix empty(m, 0);
+  const BatchOmp none(empty, {.tolerance = 0.1, .max_atoms = 0});
+  const BatchOmp::Batch bare = none.encode_many(column_spans(signals));
+  for (const SparseCode& code : bare.codes) {
+    EXPECT_EQ(code.flops, static_cast<std::uint64_t>(2 * m));
+    EXPECT_TRUE(code.entries.empty());
+  }
+}
+
 TEST(EncodeMany, EncodeAllColumnsMatchPerSignalEncode) {
   la::Rng rng(109);
   const Matrix dict = rng.gaussian_matrix(24, 40, true);

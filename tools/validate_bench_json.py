@@ -592,11 +592,27 @@ KERNEL_ROW = {
     },
 }
 
+ENCODE_SPLIT = {
+    "type": "object",
+    "required": [
+        "m", "l", "signals", "atoms_per_signal", "projection_us",
+        "encode_us", "greedy_us", "projection_share",
+    ],
+    "properties": {
+        **{name: NUMBER for name in (
+            "m", "l", "signals", "atoms_per_signal", "greedy_us",
+            "projection_share")},
+        "projection_us": SPREAD,
+        "encode_us": SPREAD,
+    },
+}
+
 KERNELS_SCHEMA = {
     "type": "object",
     "required": [
         "schema_version", "benchmark", "mode", "units", "repetitions",
-        "threads", "kernels", "encode_split",
+        "threads", "kernels", "encode_split", "encode_many_split",
+        "encode_all",
     ],
     "properties": {
         "schema_version": NUMBER,
@@ -606,18 +622,14 @@ KERNELS_SCHEMA = {
         "repetitions": NUMBER,
         "threads": NUMBER,
         "kernels": {"type": "array", "items": KERNEL_ROW},
-        "encode_split": {
+        "encode_split": ENCODE_SPLIT,
+        "encode_many_split": ENCODE_SPLIT,
+        "encode_all": {
             "type": "object",
-            "required": [
-                "m", "l", "signals", "atoms_per_signal", "projection_us",
-                "encode_us", "greedy_us", "projection_share",
-            ],
+            "required": ["m", "l", "signals", "ms"],
             "properties": {
-                **{name: NUMBER for name in (
-                    "m", "l", "signals", "atoms_per_signal", "greedy_us",
-                    "projection_share")},
-                "projection_us": SPREAD,
-                "encode_us": SPREAD,
+                **{name: NUMBER for name in ("m", "l", "signals")},
+                "ms": SPREAD,
             },
         },
     },
@@ -777,14 +789,21 @@ def check_semantics_solvers(doc, errors):
                           "signals")
 
 
-KERNEL_NAMES = {"dot", "dot_single_accumulator", "gemv", "gemv_t", "gemm_tn",
-                "gram"}
+KERNEL_NAMES = {"dot", "dot_single_accumulator", "gemv", "gemv_t",
+                "gemv_t_many", "gemm_tn", "gram"}
 KERNEL_SHAPES = {"1600x800", "48x96"}
 MIN_REPETITIONS = 9
 
 
+def ordered_spread(spread):
+    return (0 < spread.get("min", 0) <= spread.get("q1", 0)
+            <= spread.get("median", 0) <= spread.get("q3", 0)
+            <= spread.get("max", 0))
+
+
 def check_semantics_kernels(doc, errors):
-    """Every kernel at both shapes, each a spread over enough repetitions."""
+    """Every kernel at both shapes, each a spread over enough repetitions;
+    both encode splits add up, the batched one over at least 64 signals."""
     rows = doc.get("kernels", [])
     seen = {(r.get("kernel"), r.get("shape")) for r in rows}
     missing = {(k, s) for k in KERNEL_NAMES for s in KERNEL_SHAPES} - seen
@@ -799,22 +818,23 @@ def check_semantics_kernels(doc, errors):
             errors.append(f"kernels[{i}]: only the single-accumulator dot is "
                           "the baseline row")
         for name in ("gflops", "us_per_call"):
-            spread = row.get(name, {})
-            if not (0 < spread.get("min", 0) <= spread.get("q1", 0)
-                    <= spread.get("median", 0) <= spread.get("q3", 0)
-                    <= spread.get("max", 0)):
+            if not ordered_spread(row.get(name, {})):
                 errors.append(f"kernels[{i}].{name}: not an ordered positive "
                               "spread (min <= q1 <= median <= q3 <= max)")
-    split = doc.get("encode_split", {})
-    share = split.get("projection_share", 0)
-    if not 0 < share <= 1:
-        errors.append(f"encode_split.projection_share {share} is outside "
-                      "(0, 1]")
-    medians = (split.get("projection_us", {}).get("median", 0),
-               split.get("encode_us", {}).get("median", 0))
-    if abs(medians[0] + split.get("greedy_us", 0) - medians[1]) > (
-            1e-9 * max(medians[1], 1)):
-        errors.append("encode_split: projection + greedy != encode")
+    for key in ("encode_split", "encode_many_split"):
+        split = doc.get(key, {})
+        share = split.get("projection_share", 0)
+        if not 0 < share <= 1:
+            errors.append(f"{key}.projection_share {share} is outside (0, 1]")
+        medians = (split.get("projection_us", {}).get("median", 0),
+                   split.get("encode_us", {}).get("median", 0))
+        if abs(medians[0] + split.get("greedy_us", 0) - medians[1]) > (
+                1e-9 * max(medians[1], 1)):
+            errors.append(f"{key}: projection + greedy != encode")
+    if doc.get("encode_many_split", {}).get("signals", 0) < 64:
+        errors.append("encode_many_split: fewer than 64 signals")
+    if not ordered_spread(doc.get("encode_all", {}).get("ms", {})):
+        errors.append("encode_all.ms: not an ordered positive spread")
 
 
 def check_semantics_cache(doc, errors):
